@@ -325,7 +325,7 @@ def build_objects(cfg: dict):
     else:
         tensor = EllipticTensor("scalar_field", scalar_field_from(tens["field"]))
 
-    options = MinimizeOptions(seed=cfg["seed"], **cfg["minimizer"])
+    options = MinimizeOptions(**cfg["minimizer"])
     return grid, target, pert, tensor, options
 
 

@@ -29,7 +29,6 @@ class MinimizeOptions:
     shrink: float = 0.5
     max_halvings: int = 30
     max_node_step: float = 0.5      # per-iteration cap on node displacement
-    seed: int = 0
 
     def __post_init__(self):
         if self.grad_tol <= 0 or self.initial_step <= 0 or self.max_node_step <= 0:

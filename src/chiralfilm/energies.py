@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _thin_kernels
 from .perturbations import frame_sample, IDENTITY_TENSOR
 from .surfaces import SurfaceGrid, apply_difference, difference_matrix
 
@@ -114,22 +113,57 @@ class DirectorField:
         return np.linspace(-1.0, 1.0, self.n_s)
 
 
-def _basis_sigma(ctx_shape):
-    return [np.broadcast_to(np.eye(3)[j], ctx_shape) for j in range(3)]
+def frame_images(kmat, ctx):
+    """Images K f_m of the frame f = (tau_1, tau_2, n_N) of a FrameSample.
 
-
-def _frame_basis(grid, pert):
-    """Per-node matrices B with row j = K(e_j) applied to tau_1, tau_2, n_N.
-
-    Valid whenever K is linear in sigma; then K(sigma) tau_i = sigma @ B and
-    the gradient's K-coupling is the transpose contraction.
+    kmat has shape (..., 3, 3) and broadcasts against the sample's arrays;
+    row m of the (..., 3, 3) result is K f_m.
     """
-    ctx = frame_sample(grid, pert)
-    kd = [pert.kmatrix(ctx, sig) for sig in _basis_sigma(grid.normal.shape)]
-    btau1 = np.stack([np.einsum("...ij,...j->...i", k, grid.tau1) for k in kd], axis=-2)
-    btau2 = np.stack([np.einsum("...ij,...j->...i", k, grid.tau2) for k in kd], axis=-2)
-    bn = np.stack([np.einsum("...ij,...j->...i", k, grid.normal) for k in kd], axis=-2)
-    return btau1, btau2, bn
+    frame = np.stack([ctx.tau1, ctx.tau2, ctx.normal], axis=-2)
+    return np.einsum("...ij,...mj->...mi", kmat, frame)
+
+
+class KFrame:
+    """K(u) applied to the frame F = (tau_1, tau_2, n_N), bound to (grid, pert).
+
+    Fields have shape (n_u, n_v, 3), or (n_u, n_v, n_s, 3) with s_axis;
+    images and couplings carry a leading frame-row axis, shape (3,) + field
+    shape.  When K is linear in sigma, K(u) f_m = sum_j u_j K(e_j) f_m: the
+    basis K(e_j) f_m is built once as (3, n_u, n_v, 3, 3), indexed
+    (m, ..., j, i), so applying K is one matmul and its coupling one matmul
+    with the transpose.  Otherwise K and its sigma-derivative are taken at
+    each iterate.
+    """
+
+    def __init__(self, grid: SurfaceGrid, pert, s_axis: bool = False):
+        self.pert = pert
+        self.shape = grid.shape
+        self.ctx = frame_sample(grid, pert, trailing_axes=int(s_axis))
+        self.basis = None
+        if pert.linear_in_sigma:
+            units = [np.broadcast_to(e, self.ctx.normal.shape) for e in np.eye(3)]
+            basis = self._rows([pert.kmatrix(self.ctx, e) for e in units])
+            self.basis = np.ascontiguousarray(basis.reshape((3,) + grid.shape + (3, 3)))
+
+    def _rows(self, kd):
+        """Frame images of three matrix fields K_j, indexed (m, ..., j, i)."""
+        return np.moveaxis(np.stack([frame_images(k, self.ctx) for k in kd], axis=-2), -3, 0)
+
+    def images(self, values):
+        """K(u) F as a fresh array whose [m] block is K(u) f_m."""
+        if self.basis is None:
+            return np.moveaxis(frame_images(self.pert.kmatrix(self.ctx, values), self.ctx), -2, 0)
+        rows = values.reshape(self.shape + (-1, 3)) @ self.basis
+        return rows.reshape((3,) + values.shape)
+
+    def couplings(self, values, y):
+        """Block m holds the u-gradient of y[m] . K(u) f_m; y is shaped like images(values)."""
+        if self.basis is not None:
+            rows = y.reshape((3,) + self.shape + (-1, 3)) @ np.swapaxes(self.basis, -1, -2)
+            return rows.reshape(y.shape)
+        units = [np.broadcast_to(e, values.shape) for e in np.eye(3)]
+        kd = self._rows([self.pert.kmatrix_dsigma(self.ctx, values, e) for e in units])
+        return (y[..., None, :] @ np.swapaxes(kd, -1, -2))[..., 0, :]
 
 
 class LimitEnergy:
@@ -142,113 +176,78 @@ class LimitEnergy:
         self.target = target
         self.pert = pert
         self.tensor = tensor if tensor is not None else IDENTITY_TENSOR
-        self.ctx = frame_sample(grid, pert)
         self.weight = grid.area_weight
         self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)
-        self.basis = _frame_basis(grid, pert) if pert.linear_in_sigma else None
+        self.kframe = KFrame(grid, pert)
 
     def _check(self, values):
         if values.shape != self.grid.shape + (3,):
             raise EnergyError(f"field shape {values.shape} does not match surface grid {self.grid.shape}")
 
-    def _apply_k(self, values):
-        if self.basis is not None:
-            row = values[..., None, :]
-            ktau1 = (row @ self.basis[0])[..., 0, :]
-            ktau2 = (row @ self.basis[1])[..., 0, :]
-            kn = (row @ self.basis[2])[..., 0, :]
-        else:
-            kmat = self.pert.kmatrix(self.ctx, values)
-            ktau1 = np.einsum("...ij,...j->...i", kmat, self.grid.tau1)
-            ktau2 = np.einsum("...ij,...j->...i", kmat, self.grid.tau2)
-            kn = np.einsum("...ij,...j->...i", kmat, self.grid.normal)
-        return ktau1, ktau2, kn
+    def _evaluate(self, values):
+        """Breakdown plus the forward pass the gradient reuses.
 
-    def _forward(self, values):
+        Returns (breakdown, r, n_m, (rho, num, den)): r[m] is the
+        tangential residual a d_{tau_m} u + K(u) tau_m for m = 0, 1 and
+        K(u) n_N for m = 2; rho = num / den is the anisotropy factor, with
+        den = None for the identity tensor.
+        """
+        self._check(values)
         grid = self.grid
-        g1 = grid.tangential_derivative(values, 0)
-        g2 = grid.tangential_derivative(values, 1)
-        ktau1, ktau2, kn = self._apply_k(values)
-        if self.a is not None:
-            a1 = self.a[..., None]
-            g1 *= a1
-            g2 *= a1
-        g1 += ktau1
-        g2 += ktau2
+        r = self.kframe.images(values)
+        for m in (0, 1):
+            d = grid.tangential_derivative(values, m)
+            if self.a is not None:
+                d *= self.a[..., None]
+            r[m] += d
+        kn = r[2]
         n_m = self.target.normal(values)
         if self.a is None:
-            rho = np.sum(kn * n_m, axis=-1)
-            parts = (rho,)
+            rho = num = np.sum(kn * n_m, axis=-1)
+            den = None
         else:
             num = np.sum(kn * n_m, axis=-1) / self.a
             den = np.sum(n_m * n_m, axis=-1) / self.a
             rho = num / den
-            parts = (rho, num, den)
-        return g1, g2, kn, n_m, parts
+        w = self.weight
+        tangential = (np.einsum("uvk,uvk,uv->", r[0], r[0], w)
+                      + np.einsum("uvk,uvk,uv->", r[1], r[1], w))
+        bd = EnergyBreakdown.of(tangential, np.einsum("uv,uv,uv->", rho, rho, w))
+        return bd, r, n_m, (rho, num, den)
 
     def breakdown(self, values) -> EnergyBreakdown:
-        self._check(values)
-        g1, g2, _, _, parts = self._forward(values)
-        tangential = (np.einsum("uvk,uvk,uv->", g1, g1, self.weight)
-                      + np.einsum("uvk,uvk,uv->", g2, g2, self.weight))
-        rho = parts[0]
-        aniso = np.einsum("uv,uv,uv->", rho, rho, self.weight)
-        return EnergyBreakdown.of(tangential, aniso)
+        return self._evaluate(values)[0]
 
     def total(self, values) -> float:
         return self.breakdown(values).total
-
-    def _kd_images(self, values):
-        """Row-matrix images of the basis directions under K' at the iterate."""
-        if self.basis is not None:
-            return self.basis
-        grid = self.grid
-        kd = [self.pert.kmatrix_dsigma(self.ctx, values, sig)
-              for sig in _basis_sigma(values.shape)]
-        btau1 = np.stack([np.einsum("...ij,...j->...i", k, grid.tau1) for k in kd], axis=-2)
-        btau2 = np.stack([np.einsum("...ij,...j->...i", k, grid.tau2) for k in kd], axis=-2)
-        bn = np.stack([np.einsum("...ij,...j->...i", k, grid.normal) for k in kd], axis=-2)
-        return btau1, btau2, bn
 
     def gradient(self, values) -> np.ndarray:
         return self.breakdown_and_gradient(values)[1]
 
     def breakdown_and_gradient(self, values):
-        self._check(values)
-        grid = self.grid
-        g1, g2, kn, n_m, parts = self._forward(values)
-        w = self.weight
-        rho = parts[0]
-        tangential = (np.einsum("uvk,uvk,uv->", g1, g1, w)
-                      + np.einsum("uvk,uvk,uv->", g2, g2, w))
-        bd = EnergyBreakdown.of(tangential, np.einsum("uv,uv,uv->", rho, rho, w))
-
-        btau1, btau2, bn = self._kd_images(values)
-        y1 = 2.0 * w[..., None] * g1
-        y2 = 2.0 * w[..., None] * g2
-        if self.a is None:
-            grad = grid.tangential_derivative_adjoint(y1, 0)
-            grad += grid.tangential_derivative_adjoint(y2, 1)
-        else:
-            a1 = self.a[..., None]
-            grad = grid.tangential_derivative_adjoint(a1 * y1, 0)
-            grad += grid.tangential_derivative_adjoint(a1 * y2, 1)
-        grad += (y1[..., None, :] @ np.swapaxes(btau1, -1, -2))[..., 0, :]
-        grad += (y2[..., None, :] @ np.swapaxes(btau2, -1, -2))[..., 0, :]
-
-        if self.a is None:
+        bd, r, n_m, (rho, num, den) = self._evaluate(values)
+        grid, w = self.grid, self.weight
+        kn = r[2]
+        y = 2.0 * w[..., None] * r
+        y[2] = n_m
+        coupled = self.kframe.couplings(values, y)
+        if self.a is not None:
+            y[:2] *= self.a[..., None]
+        grad = grid.tangential_derivative_adjoint(y[0], 0)
+        grad += grid.tangential_derivative_adjoint(y[1], 1)
+        grad += coupled[0]
+        grad += coupled[1]
+        # d(rho^2) through K (coupled[2] = n_M . dK n_N) and through n_M
+        if den is None:
             coeff = 2.0 * w * rho
-            grad += coeff[..., None] * (n_m[..., None, :] @ np.swapaxes(bn, -1, -2))[..., 0, :]
+            grad += coeff[..., None] * coupled[2]
             grad += coeff[..., None] * self.target.normal_pullback(values, kn)
         else:
-            _, num, den = parts
-            vec_num = self.target.normal_pullback(values, kn) / self.a[..., None]
-            vec_num += (n_m[..., None, :] @ np.swapaxes(bn, -1, -2))[..., 0, :] / self.a[..., None]
-            vec_den = 2.0 * self.target.normal_pullback(values, n_m) / self.a[..., None]
+            a1 = self.a[..., None]
+            vec_num = self.target.normal_pullback(values, kn) / a1 + coupled[2] / a1
+            vec_den = 2.0 * self.target.normal_pullback(values, n_m) / a1
             coeff = 2.0 * w * rho / (den * den)
-            grad += coeff[..., None] * (
-                vec_num * den[..., None] - num[..., None] * vec_den
-            )
+            grad += coeff[..., None] * (vec_num * den[..., None] - num[..., None] * vec_den)
         return bd, grad
 
 
@@ -270,116 +269,43 @@ class ThinFilmEnergy:
         f2 = 1.0 + es * grid.kappa2[..., None]
         self.h1 = 1.0 / f1
         self.h2 = 1.0 / f2
-        self.sqrtg = f1 * f2
-        self.weight = grid.area_weight[..., None] * self.s_weights[None, None, :] * self.sqrtg
-        self.ctx = frame_sample(grid, pert, trailing_axes=1)
-        self.tau1 = grid.tau1[:, :, None, :]
-        self.tau2 = grid.tau2[:, :, None, :]
-        self.normal = grid.normal[:, :, None, :]
+        self.weight = grid.area_weight[..., None] * self.s_weights[None, None, :] * (f1 * f2)
         self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)[:, :, None]
-        self.basis = _frame_basis(grid, pert) if pert.linear_in_sigma else None
-        self._kernel = None
-        if self.basis is not None and _thin_kernels.HAVE_NUMBA:
-            self._kernel = {
-                "u": _thin_kernels.sparse_rows(grid.diff_u),
-                "v": _thin_kernels.sparse_rows(grid.diff_v),
-                "s": _thin_kernels.sparse_rows(self.diff_s),
-                "ut": _thin_kernels.sparse_rows(grid.diff_u.T),
-                "vt": _thin_kernels.sparse_rows(grid.diff_v.T),
-                "st": _thin_kernels.sparse_rows(self.diff_s.T),
-                "inv_su": np.ascontiguousarray(1.0 / grid.stretch_u),
-                "inv_sv": np.ascontiguousarray(1.0 / grid.stretch_v),
-                "h1": np.ascontiguousarray(self.h1),
-                "h2": np.ascontiguousarray(self.h2),
-                "weight": np.ascontiguousarray(self.weight),
-                "basis": tuple(np.ascontiguousarray(b) for b in self.basis),
-                "a": np.ascontiguousarray(
-                    np.ones(grid.shape) if self.a is None else self.a[:, :, 0]
-                ),
-            }
-
-    def _kernel_energy(self, values):
-        kd = self._kernel
-        bt1, bt2, bn = kd["basis"]
-        return _thin_kernels.thin_energy_kernel(
-            np.ascontiguousarray(values), *kd["u"], *kd["v"], *kd["s"],
-            kd["inv_su"], kd["inv_sv"], kd["h1"], kd["h2"], kd["weight"],
-            bt1, bt2, bn, kd["a"], 1.0 / self.eps,
-        )
-
-    def _kernel_energy_gradient(self, values):
-        kd = self._kernel
-        bt1, bt2, bn = kd["basis"]
-        shape = values.shape
-        g1buf = np.empty(shape)
-        g2buf = np.empty(shape)
-        gsbuf = np.empty(shape)
-        grad = np.empty(shape)
-        tang, norm = _thin_kernels.thin_energy_gradient_kernel(
-            np.ascontiguousarray(values), *kd["u"], *kd["v"], *kd["s"],
-            *kd["ut"], *kd["vt"], *kd["st"],
-            kd["inv_su"], kd["inv_sv"], kd["h1"], kd["h2"], kd["weight"],
-            bt1, bt2, bn, kd["a"], 1.0 / self.eps,
-            g1buf, g2buf, gsbuf, grad,
-        )
-        return tang, norm, grad
+        self.kframe = KFrame(grid, pert, s_axis=True)
 
     def _check(self, values):
         want = self.grid.shape + (self.n_s, 3)
         if values.shape != want:
             raise EnergyError(f"field shape {values.shape} does not match thin layout {want}")
 
-    def _apply_k(self, values):
-        if self.basis is not None:
-            ktau1 = values @ self.basis[0]
-            ktau2 = values @ self.basis[1]
-            kn = values @ self.basis[2]
-        else:
-            kmat = self.pert.kmatrix(self.ctx, values)
-            ktau1 = np.einsum("...ij,...j->...i", kmat, self.tau1)
-            ktau2 = np.einsum("...ij,...j->...i", kmat, self.tau2)
-            kn = np.einsum("...ij,...j->...i", kmat, self.normal)
-        return ktau1, ktau2, kn
-
-    def _forward(self, values):
-        grid = self.grid
-        g1 = grid.tangential_derivative(values, 0)
-        g2 = grid.tangential_derivative(values, 1)
-        gs = apply_difference(self.diff_s, values, 2)
-        ktau1, ktau2, kn = self._apply_k(values)
-        g1 *= self.h1[..., None]
-        g2 *= self.h2[..., None]
-        gs /= self.eps
+    def _scale(self, rows):
+        """Multiply the three residual rows in place by a h_1, a h_2 and a / eps."""
+        rows[0] *= self.h1[..., None]
+        rows[1] *= self.h2[..., None]
+        rows[2] /= self.eps
         if self.a is not None:
-            a1 = self.a[..., None]
-            g1 *= a1
-            g2 *= a1
-            gs *= a1
-        g1 += ktau1
-        g2 += ktau2
-        gs += kn
-        return g1, g2, gs
+            for row in rows:
+                row *= self.a[..., None]
+
+    def _evaluate(self, values):
+        """Breakdown plus the residuals r[m] = a h_m D_m u + K(u) f_m for
+        D = (d_{tau_1}, d_{tau_2}, d_s), f = (tau_1, tau_2, n_N), h_s = 1/eps."""
+        self._check(values)
+        grid = self.grid
+        derivs = [
+            grid.tangential_derivative(values, 0),
+            grid.tangential_derivative(values, 1),
+            apply_difference(self.diff_s, values, 2),
+        ]
+        self._scale(derivs)
+        r = self.kframe.images(values)
+        for m, d in enumerate(derivs):
+            r[m] += d
+        sums = [np.einsum("uvsk,uvsk,uvs->", row, row, self.weight) for row in r]
+        return EnergyBreakdown.of(0.5 * (sums[0] + sums[1]), 0.5 * sums[2]), r
 
     def breakdown(self, values) -> EnergyBreakdown:
-        self._check(values)
-        if self._kernel is not None:
-            return EnergyBreakdown.of(*self._kernel_energy(values))
-        g1, g2, gs = self._forward(values)
-        w = self.weight
-        tangential = 0.5 * (np.einsum("uvsk,uvsk,uvs->", g1, g1, w)
-                            + np.einsum("uvsk,uvsk,uvs->", g2, g2, w))
-        normal = 0.5 * np.einsum("uvsk,uvsk,uvs->", gs, gs, w)
-        return EnergyBreakdown.of(tangential, normal)
-
-    def breakdown_reference(self, values) -> EnergyBreakdown:
-        """Pure-numpy evaluation, kept as the cross-check for the kernel."""
-        self._check(values)
-        g1, g2, gs = self._forward(values)
-        w = self.weight
-        tangential = 0.5 * (np.einsum("uvsk,uvsk,uvs->", g1, g1, w)
-                            + np.einsum("uvsk,uvsk,uvs->", g2, g2, w))
-        normal = 0.5 * np.einsum("uvsk,uvsk,uvs->", gs, gs, w)
-        return EnergyBreakdown.of(tangential, normal)
+        return self._evaluate(values)[0]
 
     def total(self, values) -> float:
         return self.breakdown(values).total
@@ -400,52 +326,14 @@ class ThinFilmEnergy:
         return self.breakdown_and_gradient(values)[1]
 
     def breakdown_and_gradient(self, values):
-        self._check(values)
-        if self._kernel is not None:
-            tang, norm, grad = self._kernel_energy_gradient(values)
-            return EnergyBreakdown.of(tang, norm), grad
-        return self.breakdown_and_gradient_reference(values)
-
-    def breakdown_and_gradient_reference(self, values):
-        """Pure-numpy fused evaluation, kept as the kernel cross-check."""
-        self._check(values)
+        bd, r = self._evaluate(values)
         grid = self.grid
-        g1, g2, gs = self._forward(values)
-        w = self.weight
-        tangential = 0.5 * (np.einsum("uvsk,uvsk,uvs->", g1, g1, w)
-                            + np.einsum("uvsk,uvsk,uvs->", g2, g2, w))
-        normal = 0.5 * np.einsum("uvsk,uvsk,uvs->", gs, gs, w)
-        bd = EnergyBreakdown.of(tangential, normal)
-
-        w1 = w[..., None]
-        g1 *= w1
-        g2 *= w1
-        gs *= w1
-        if self.basis is not None:
-            grad = g1 @ np.swapaxes(self.basis[0], -1, -2)
-            grad += g2 @ np.swapaxes(self.basis[1], -1, -2)
-            grad += gs @ np.swapaxes(self.basis[2], -1, -2)
-        else:
-            grad = np.zeros_like(values)
-            kd = [self.pert.kmatrix_dsigma(self.ctx, values, sig)
-                  for sig in _basis_sigma(values.shape)]
-            for j in range(3):
-                grad[..., j] += (
-                    np.sum(g1 * np.einsum("...ij,...j->...i", kd[j], self.tau1), axis=-1)
-                    + np.sum(g2 * np.einsum("...ij,...j->...i", kd[j], self.tau2), axis=-1)
-                    + np.sum(gs * np.einsum("...ij,...j->...i", kd[j], self.normal), axis=-1)
-                )
-        g1 *= self.h1[..., None]
-        g2 *= self.h2[..., None]
-        gs /= self.eps
-        if self.a is not None:
-            a1 = self.a[..., None]
-            g1 *= a1
-            g2 *= a1
-            gs *= a1
-        grad += grid.tangential_derivative_adjoint(g1, 0)
-        grad += grid.tangential_derivative_adjoint(g2, 1)
-        grad += apply_difference(self.diff_s.T, gs, 2)
+        r *= self.weight[..., None]
+        grad = self.kframe.couplings(values, r).sum(axis=0)
+        self._scale(r)
+        grad += grid.tangential_derivative_adjoint(r[0], 0)
+        grad += grid.tangential_derivative_adjoint(r[1], 1)
+        grad += apply_difference(self.diff_s.T, r[2], 2)
         return bd, grad
 
 
@@ -484,8 +372,7 @@ def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=None) -> np
     scalar tensor a rescales it by 1/a.
     """
     ctx = frame_sample(grid, pert)
-    kmat = pert.kmatrix(ctx, values)
-    kn = np.einsum("...ij,...j->...i", kmat, grid.normal)
+    kn = frame_images(pert.kmatrix(ctx, values), ctx)[..., 2, :]
     n_m = target.normal(values)
     d0 = np.sum(kn * n_m, axis=-1, keepdims=True) * n_m - kn
     if tensor is not None and not tensor.is_identity:

@@ -249,11 +249,11 @@ def tangential_images(pert: Perturbation, grid: SurfaceGrid, sigma: np.ndarray):
     These are the tangential restrictions of the perturbation entering the
     first term of the limit energy; sigma has shape (n_u, n_v, 3).
     """
+    from .energies import frame_images  # energies imports this module
+
     ctx = frame_sample(grid, pert)
-    kmat = pert.kmatrix(ctx, sigma)
-    ktau1 = np.einsum("...ij,...j->...i", kmat, grid.tau1)
-    ktau2 = np.einsum("...ij,...j->...i", kmat, grid.tau2)
-    return ktau1, ktau2
+    images = frame_images(pert.kmatrix(ctx, sigma), ctx)
+    return images[..., 0, :], images[..., 1, :]
 
 
 def estimate_bound(pert: Perturbation, grid: SurfaceGrid, target, samples: int = 1000, seed: int = 0) -> float:

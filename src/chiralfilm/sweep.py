@@ -11,7 +11,7 @@ decreasing.
 
 Also houses the pointwise identity checks: the anisotropy density vanishes
 (to roundoff) for bulk/anisotropic/temperature perturbations with a sphere
-target and for the interfacial perturbation with any target.
+target and for the interfacial and zero perturbations with any target.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .energies import (
     EnergyError,
     LimitEnergy,
     ThinFilmEnergy,
+    frame_images,
     h1_distance,
     optimal_corrector,
     recovery_field,
 )
-from .perturbations import InterfacialDMI, frame_sample
+from .perturbations import InterfacialDMI, ZeroPerturbation, frame_sample
 from .surfaces import SurfaceGrid
 from .targets import SphereTarget, TargetError
 
@@ -238,7 +239,7 @@ def check_vanishing_identity(grid: SurfaceGrid, target, pert, samples: int = 100
     ctx = frame_sample(grid, pert, index=(ii, jj))
     sigma = target.project(rng.standard_normal((samples, 3)))
     kmat = pert.kmatrix(ctx, sigma)
-    kn = np.einsum("...ij,...j->...i", kmat, ctx.normal)
+    kn = frame_images(kmat, ctx)[..., 2, :]
     n_m = target.normal(sigma)
     density = np.sum(kn * n_m, axis=-1) ** 2
     scale = np.sum(kmat * kmat, axis=(-2, -1))
@@ -247,7 +248,7 @@ def check_vanishing_identity(grid: SurfaceGrid, target, pert, samples: int = 100
 
 def identity_is_predicted_vanishing(pert, target) -> bool:
     """Whether the shape-anisotropy density is predicted to vanish."""
-    if isinstance(pert, InterfacialDMI):
+    if isinstance(pert, (InterfacialDMI, ZeroPerturbation)):
         return True
     return isinstance(target, SphereTarget)
 

@@ -250,12 +250,16 @@ def test_sweep_eps_list_override(tmp_path):
 
 def test_check_identities_command(tmp_path, capsys):
     out_dir = tmp_path / "ident"
-    path = write_tiny_config(tmp_path, out_dir)
-    assert main(["check-identities", "--config", path, "--json"]) == 0
-    got = json.loads(capsys.readouterr().out)
-    assert got["vanishing_predicted"] is True
-    assert got["ok"] is True
-    assert got["max_residual"] <= 1e-14 * got["scale"]
+    # bulk on the sphere, and the zero perturbation, whose residual is exactly 0 on any target
+    zero_ellipsoid = {"perturbation": {"kind": "zero"},
+                      "target": {"kind": "ellipsoid", "semi_axes": [1.2, 1.0, 0.8]}}
+    for extra in ({}, zero_ellipsoid):
+        path = write_tiny_config(tmp_path, out_dir, extra)
+        assert main(["check-identities", "--config", path, "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["vanishing_predicted"] is True
+        assert got["ok"] is True
+        assert got["max_residual"] <= 1e-14 * got["scale"]
 
 
 def test_crosscheck_planar_command(capsys):

@@ -388,34 +388,42 @@ def test_custom_perturbation_gradient_fd_fallback(small_torus, rng):
     custom = CustomPerturbation(
         lambda ctx, s: right_cross_matrix(s) * (1.0 + np.sum(s * s, axis=-1))[..., None, None]
     )
-    f = random_field(small_torus, SPHERE, "surface", seed=19)
-    model = LimitEnergy(small_torus, SPHERE, custom)
-    grad = model.gradient(f.values)
-    step = 1e-5
-    for _ in range(5):
-        idx = tuple(int(rng.integers(0, s)) for s in f.values.shape[:-1])
-        for comp in range(3):
-            plus = f.values.copy()
-            plus[idx + (comp,)] += step
-            minus = f.values.copy()
-            minus[idx + (comp,)] -= step
-            fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
-            ga = grad[idx + (comp,)]
-            assert abs(ga - fd) <= 1e-5 * max(abs(ga), abs(fd), 1.0)
+    for layout in ("surface", "thin"):
+        f = random_field(small_torus, SPHERE, layout, n_s=6, seed=19)
+        if layout == "surface":
+            model = LimitEnergy(small_torus, SPHERE, custom)
+        else:
+            model = ThinFilmEnergy(small_torus, custom, 0.1, 6)
+        grad = model.gradient(f.values)
+        step = 1e-5
+        for _ in range(5):
+            idx = tuple(int(rng.integers(0, s)) for s in f.values.shape[:-1])
+            for comp in range(3):
+                plus = f.values.copy()
+                plus[idx + (comp,)] += step
+                minus = f.values.copy()
+                minus[idx + (comp,)] -= step
+                fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
+                ga = grad[idx + (comp,)]
+                assert abs(ga - fd) <= 1e-5 * max(abs(ga), abs(fd), 1.0), layout
 
 
-def test_thin_kernel_matches_reference(small_torus, rng):
-    pert = BulkDMI(1.0)
-    model = ThinFilmEnergy(small_torus, pert, 0.1, 6)
-    f = random_field(small_torus, SPHERE, "thin", n_s=6, seed=20)
-    ref_bd = model.breakdown_reference(f.values)
-    got_bd = model.breakdown(f.values)
-    assert got_bd.total == pytest.approx(ref_bd.total, rel=1e-13)
-    ref_bd2, ref_grad = model.breakdown_and_gradient_reference(f.values)
-    got_bd2, got_grad = model.breakdown_and_gradient(f.values)
-    assert got_bd2.total == pytest.approx(ref_bd2.total, rel=1e-13)
-    scale = np.max(np.abs(ref_grad))
-    assert np.max(np.abs(got_grad - ref_grad)) <= 1e-13 * scale
+@pytest.mark.parametrize("layout", ["surface", "thin"])
+def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
+    # the same linear K through the stored basis and through per-iterate evaluation
+    pert = AnisotropicDMI([[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]])
+    generic = CustomPerturbation(pert.kmatrix)
+    f = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=22)
+    tensor = EllipticTensor("scalar_field", ScalarSurfaceField("affine", 1.5, (0.0, 0.0, 0.3)))
+    if layout == "surface":
+        models = [LimitEnergy(small_torus, ELLIPSOID, p, tensor=tensor) for p in (pert, generic)]
+    else:
+        models = [ThinFilmEnergy(small_torus, p, 0.1, 6, tensor=tensor) for p in (pert, generic)]
+    (bd_a, g_a), (bd_b, g_b) = (m.breakdown_and_gradient(f.values) for m in models)
+    assert bd_a.tangential == pytest.approx(bd_b.tangential, rel=1e-12)
+    assert bd_a.normal_or_anisotropy == pytest.approx(bd_b.normal_or_anisotropy, rel=1e-12)
+    # the per-iterate path differentiates K by central differences (step 1e-7)
+    assert np.max(np.abs(g_a - g_b)) <= 1e-7 * np.max(np.abs(g_a))
 
 
 @pytest.mark.parametrize("surface_kind", ["sphere", "torus"])

@@ -5,6 +5,7 @@ from chiralfilm.energies import s_quadrature
 from chiralfilm.surfaces import (
     SurfaceError,
     SurfaceSpec,
+    apply_difference,
     build_surface,
     metric_tangent_coeff,
     metric_volume_factor,
@@ -240,12 +241,23 @@ def test_tangential_derivative_shape_mismatch(flat_patch):
 
 
 def test_adjoint_is_exact_transpose(small_torus, rng):
-    x = rng.standard_normal(small_torus.shape + (3,))
-    y = rng.standard_normal(small_torus.shape + (3,))
-    for direction in (0, 1):
-        lhs = np.sum(small_torus.tangential_derivative(x, direction) * y)
-        rhs = np.sum(x * small_torus.tangential_derivative_adjoint(y, direction))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    grids = [
+        small_torus,
+        build_surface(SurfaceSpec("sphere", 16, 12, radius=1.0, theta_cap=0.15)),  # one-sided rows in u
+        build_surface(SurfaceSpec("cylinder", 12, 16, radius=0.8, height=2.0)),    # one-sided rows in v
+    ]
+    for grid in grids:
+        x = rng.standard_normal(grid.shape + (5, 3))
+        y = rng.standard_normal(grid.shape + (5, 3))
+        for direction in (0, 1):
+            lhs = np.sum(grid.tangential_derivative(x, direction) * y)
+            rhs = np.sum(x * grid.tangential_derivative_adjoint(y, direction))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+    # the s-stencil of the thin form and its transpose
+    _, _, diff_s = s_quadrature(5)
+    lhs = np.sum(apply_difference(diff_s, x, 2) * y)
+    rhs = np.sum(x * apply_difference(diff_s.T, y, 2))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @pytest.mark.parametrize(
