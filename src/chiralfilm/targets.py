@@ -102,42 +102,52 @@ class EllipsoidTarget(TargetManifold):
         self._a2 = axes * axes
 
     def _multiplier(self, y):
-        """Root of g(t) = sum(a_i^2 y_i^2 / (t + a_i^2)^2) - 1 on (-min a^2, inf)."""
+        """Root of g(t) = sum(a_i^2 y_i^2 / (t + a_i^2)^2) - 1 on (-min a^2, inf).
+
+        Newton starts at t = 0, the root for a point on the surface, and each
+        pass works only on the points whose |g| is still at or above tol.
+        """
         a2 = self._a2
-        w = a2 * y * y  # numerator weights
-        lo = np.full(y.shape[:-1], -np.min(a2) * (1.0 - 1e-12))
-        hi = np.sqrt(np.sum(w, axis=-1))
-        hi = np.maximum(hi, lo + np.min(a2) * 1e-9)
+        flat = y.reshape(-1, 3)
+        # numerator weights a_i^2 y_i^2, one contiguous array per component
+        w = [a2[i] * flat[:, i] * flat[:, i] for i in range(3)]
+        lo = np.full(len(flat), -np.min(a2) * (1.0 - 1e-12))
+        hi = np.maximum(np.sqrt(w[0] + w[1] + w[2]), lo + np.min(a2) * 1e-9)
 
-        def g_and_dg(t):
-            denom = t[..., None] + a2
-            q = w / (denom * denom)
-            return np.sum(q, axis=-1) - 1.0, -2.0 * np.sum(q / denom, axis=-1)
+        def g_and_dg(t, w):
+            d = [t + a2[i] for i in range(3)]
+            q = [w[i] / (d[i] * d[i]) for i in range(3)]
+            return q[0] + q[1] + q[2] - 1.0, -2.0 * (q[0] / d[0] + q[1] / d[1] + q[2] / d[2])
 
-        g_lo, _ = g_and_dg(lo)
+        g_lo, _ = g_and_dg(lo, w)
         if np.any(g_lo <= 0.0):
             raise TargetError(
                 "projection undefined: point too close to the medial axis of the ellipsoid"
             )
-        t = 0.5 * (lo + hi)
-        converged = np.zeros(t.shape, dtype=bool)
+        out = np.empty(len(flat))
+        active = np.arange(len(flat))
+        t = np.zeros(len(flat))
         for _ in range(self.max_iter):
-            g, dg = g_and_dg(t)
+            g, dg = g_and_dg(t, w)
+            done = np.abs(g) < self.tol
+            if done.any():
+                out[active[done]] = t[done]
+                keep = ~done
+                active, t, lo, hi, g, dg = (a[keep] for a in (active, t, lo, hi, g, dg))
+                w = [wi[keep] for wi in w]
+            if not len(active):
+                break
             lo = np.where(g > 0.0, t, lo)
             hi = np.where(g < 0.0, t, hi)
-            converged |= np.abs(g) < self.tol
-            if np.all(converged):
-                break
-            step = g / dg
-            t_new = t - step
+            t_new = t - g / dg
             bad = (t_new <= lo) | (t_new >= hi) | ~np.isfinite(t_new)
-            t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-            t = np.where(converged, t, t_new)
+            t = np.where(bad, 0.5 * (lo + hi), t_new)
         else:
-            g, _ = g_and_dg(t)
+            g, _ = g_and_dg(t, w)
             if np.any(np.abs(g) >= np.sqrt(self.tol)):
                 raise TargetError("ellipsoid projection did not converge")
-        return t
+            out[active] = t
+        return out.reshape(y.shape[:-1])
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -154,10 +164,9 @@ class EllipsoidTarget(TargetManifold):
 
     def signed_distance(self, y):
         y = np.asarray(y, dtype=float)
-        sigma = self.project(y)
-        dist = _norm(y - sigma, keepdims=False)
-        inside = np.sum((y / self.semi_axes) ** 2, axis=-1) < 1.0
-        return np.where(inside, -dist, dist)
+        t = self._multiplier(y)
+        # y - sigma = t y / (t + a^2), and t < 0 exactly when y is inside
+        return t * _norm(y / (t[..., None] + self._a2), keepdims=False)
 
     def normal_pullback(self, y, w):
         y = np.asarray(y, dtype=float)

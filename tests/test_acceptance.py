@@ -265,6 +265,7 @@ def test_criterion_6_planar_interfacial_crosscheck():
     print(f"ACCEPTANCE 6 planar interfacial cross-check: PASS (max rel discrepancy {worst:.2e} <= 1e-10)")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_criterion_7_gamma_sweep(name):
     """Film-thickness sweep trends for every shipped preset."""
@@ -317,6 +318,7 @@ def test_criterion_8_generalized_limit_reduction():
           f"constant-saturation scaling <= {worst_temp:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_9_sweep_determinism(tmp_path):
     """Repeated sweep with fixed seed and thread count is byte-identical."""
     cfg = preset_config("bulk")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError, make_target
 
@@ -168,6 +170,76 @@ def test_tangent_project_properties(target, rng):
 
     tangent = target.tangent_project(sigma, g)
     assert np.max(np.abs(target.tangent_project(sigma, tangent) - tangent)) < 1e-15
+
+
+def test_ellipsoid_batch_rows_match_single_points(rng):
+    """Rows that converge at different passes leave the batch bit-identical."""
+    ell = EllipsoidTarget([1.2, 1.0, 0.8])
+    on = ell.project(rng.standard_normal((20, 3)))
+    near = on + 0.3 * ell.normal(on)
+    far = 10.0 * rng.standard_normal((20, 3))
+    batch = rng.permutation(np.concatenate([on, near, far]))
+    got = ell.project(batch)
+    for i in range(len(batch)):
+        assert np.array_equal(got[i], ell.project(batch[i:i + 1])[0])
+        assert np.array_equal(got[i], ell.project(batch[i]))  # also checks the (3,) shape
+    field = batch[:48].reshape(2, 3, 8, 3)
+    assert np.array_equal(ell.project(field), got[:48].reshape(2, 3, 8, 3))
+
+
+def test_ellipsoid_newton_starts_on_the_surface(rng):
+    axes = [1.2, 1.0, 0.8]
+    ell = EllipsoidTarget(axes, max_iter=2)
+    sigma = EllipsoidTarget(axes).project(rng.standard_normal((200, 3)))
+    assert np.max(np.abs(ell.project(sigma) - sigma)) <= 1e-15
+    with pytest.raises(TargetError, match="did not converge"):
+        ell.project(10.0 * rng.standard_normal((20, 3)))
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _offset_point(axes, direction, tangent, normal_step, tangent_step):
+    """A surface point moved along its normal and along a tangent, both within
+    admissible_radius; inward steps also stop short of the reach
+    min(a)^2 / max(a), past which an eccentric ellipsoid puts points on its
+    medial axis, where the projection is undefined and raises."""
+    ell = EllipsoidTarget(axes)
+    sigma0 = axes * _unit(direction)
+    along = ell.tangent_project(sigma0, np.asarray(tangent, dtype=float))
+    if np.linalg.norm(along) > 1e-3:
+        along = _unit(along)
+    inward = min(ell.admissible_radius, 0.9 * np.min(axes) ** 2 / np.max(axes))
+    depth = normal_step * (ell.admissible_radius if normal_step > 0 else inward)
+    return sigma0 + depth * ell.normal(sigma0) + tangent_step * ell.admissible_radius * along
+
+
+_direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(axes=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3), direction=_direction,
+       tangent=_direction, normal_step=st.floats(-0.95, 0.95), tangent_step=st.floats(0.0, 0.95))
+def test_ellipsoid_projection_properties(axes, direction, tangent, normal_step, tangent_step):
+    axes = np.array(axes)
+    ell = EllipsoidTarget(axes)
+    y = _offset_point(axes, direction, tangent, normal_step, tangent_step)
+    sigma = ell.project(y)
+    # The solver stops at |g| < tol on its own rounding of g, which leaves a
+    # point within max(a) * tol / 2 <= tol of the surface (a <= 2 here);
+    # recomputing from sigma adds a few ulps.
+    bound = ell.tol + 1e-15
+    assert abs(np.sum((sigma / axes) ** 2) - 1.0) < bound
+    assert np.linalg.norm(np.cross(y - sigma, ell.normal(sigma))) < 1e-9
+    assert np.max(np.abs(ell.project(sigma) - sigma)) < bound
+
+    round_axes = np.full(3, axes[0])
+    y = _offset_point(round_axes, direction, tangent, normal_step, tangent_step)
+    sphere = SphereTarget(axes[0])
+    assert np.max(np.abs(EllipsoidTarget(round_axes).project(y) - sphere.project(y))) < bound
 
 
 def test_ellipsoid_rejects_medial_axis():
