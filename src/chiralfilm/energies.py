@@ -166,6 +166,37 @@ class KFrame:
         return (y[..., None, :] @ np.swapaxes(kd, -1, -2))[..., 0, :]
 
 
+def _bits(values):
+    return values.shape, values.dtype, values.tobytes()
+
+
+class _ForwardMemo:
+    """One slot holding the last forward pass of `breakdown`, keyed by the bits
+    of its input, so that `breakdown_and_gradient` on the same values (the
+    accepted line-search trial) runs only the adjoint part."""
+
+    def __init__(self):
+        self._key = self._state = None
+
+    def forward(self, evaluate, values):
+        """evaluate(values), kept in the slot; the previous state is dropped first."""
+        self._key = self._state = None
+        state = evaluate(values)
+        self._key, self._state = _bits(values), state
+        return state
+
+    def take(self, evaluate, values):
+        """The kept state if it came from bit-identical values, else evaluate(values).
+
+        Empties the slot either way, because the caller may overwrite the state.
+        """
+        key, state = self._key, self._state
+        self._key = self._state = None
+        if key is not None and key == _bits(values):
+            return state
+        return evaluate(values)
+
+
 class LimitEnergy:
     """Surface limit functional bound to (grid, target, perturbation, tensor)."""
 
@@ -179,6 +210,7 @@ class LimitEnergy:
         self.weight = grid.area_weight
         self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)
         self.kframe = KFrame(grid, pert)
+        self._memo = _ForwardMemo()
 
     def _check(self, values):
         if values.shape != self.grid.shape + (3,):
@@ -216,7 +248,7 @@ class LimitEnergy:
         return bd, r, n_m, (rho, num, den)
 
     def breakdown(self, values) -> EnergyBreakdown:
-        return self._evaluate(values)[0]
+        return self._memo.forward(self._evaluate, values)[0]
 
     def total(self, values) -> float:
         return self.breakdown(values).total
@@ -225,7 +257,9 @@ class LimitEnergy:
         return self.breakdown_and_gradient(values)[1]
 
     def breakdown_and_gradient(self, values):
-        bd, r, n_m, (rho, num, den) = self._evaluate(values)
+        """Breakdown and gradient; reuses the forward pass of a preceding
+        `breakdown` call on bit-identical values."""
+        bd, r, n_m, (rho, num, den) = self._memo.take(self._evaluate, values)
         grid, w = self.grid, self.weight
         kn = r[2]
         y = 2.0 * w[..., None] * r
@@ -272,6 +306,7 @@ class ThinFilmEnergy:
         self.weight = grid.area_weight[..., None] * self.s_weights[None, None, :] * (f1 * f2)
         self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)[:, :, None]
         self.kframe = KFrame(grid, pert, s_axis=True)
+        self._memo = _ForwardMemo()
 
     def _check(self, values):
         want = self.grid.shape + (self.n_s, 3)
@@ -305,7 +340,7 @@ class ThinFilmEnergy:
         return EnergyBreakdown.of(0.5 * (sums[0] + sums[1]), 0.5 * sums[2]), r
 
     def breakdown(self, values) -> EnergyBreakdown:
-        return self._evaluate(values)[0]
+        return self._memo.forward(self._evaluate, values)[0]
 
     def total(self, values) -> float:
         return self.breakdown(values).total
@@ -326,7 +361,9 @@ class ThinFilmEnergy:
         return self.breakdown_and_gradient(values)[1]
 
     def breakdown_and_gradient(self, values):
-        bd, r = self._evaluate(values)
+        """Breakdown and gradient; reuses the forward pass of a preceding
+        `breakdown` call on bit-identical values (the adjoint scales r in place)."""
+        bd, r = self._memo.take(self._evaluate, values)
         grid = self.grid
         r *= self.weight[..., None]
         grad = self.kframe.couplings(values, r).sum(axis=0)

@@ -73,33 +73,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def field_to_csv(grid, field: DirectorField) -> str:
-    """Field as CSV rows keyed by chart coordinates (u-major ordering)."""
-    out = io.StringIO()
-    if field.layout == "surface":
-        out.write("u,v,ux,uy,uz\n")
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                vec = field.values[i, j]
-                out.write(f"{_fmt(grid.u[i])},{_fmt(grid.v[j])},"
-                          f"{_fmt(vec[0])},{_fmt(vec[1])},{_fmt(vec[2])}\n")
-    else:
-        s = field.s_layers()
-        out.write("u,v,s,ux,uy,uz\n")
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                for k in range(field.n_s):
-                    vec = field.values[i, j, k]
-                    out.write(f"{_fmt(grid.u[i])},{_fmt(grid.v[j])},{_fmt(s[k])},"
-                              f"{_fmt(vec[0])},{_fmt(vec[1])},{_fmt(vec[2])}\n")
-    return out.getvalue()
-
-
 def write_field_csv(grid, field: DirectorField, path: str):
+    """Field as CSV rows keyed by chart coordinates (u-major ordering).
+
+    Rows are written one u-row at a time, with each chart coordinate
+    formatted once; "%.17g" gives the same text as format(x, ".17g").
+    """
+    if field.layout == "surface":
+        header = "u,v,ux,uy,uz\n"
+        tails = [_fmt(v) + "," for v in grid.v]
+    else:
+        header = "u,v,s,ux,uy,uz\n"
+        s = [_fmt(sk) + "," for sk in field.s_layers()]
+        tails = [_fmt(v) + "," + sk for v in grid.v for sk in s]
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as handle:
-            handle.write(field_to_csv(grid, field))
+            handle.write(header)
+            for u, block in zip(grid.u, field.values):
+                head = _fmt(u) + ","
+                handle.writelines([
+                    "%s%s%.17g,%.17g,%.17g\n" % (head, tail, x, y, z)
+                    for tail, (x, y, z) in zip(tails, block.reshape(-1, 3).tolist())
+                ])
     except OSError as exc:
         raise ReportError(f"cannot write {path}: {exc}") from exc
 
@@ -153,18 +149,19 @@ def frame_table_csv(grid) -> str:
 
 
 def sweep_csv(report) -> str:
-    """Plot-ready summary: one row per film thickness."""
+    """Plot-ready summary: one row per film thickness, with how its minimization ended."""
     out = io.StringIO()
-    out.write("eps,min_energy_eps,min_energy_limit,gap,recovery_gap,h1_dist\n")
+    out.write("eps,min_energy_eps,min_energy_limit,gap,recovery_gap,h1_dist,iterations,termination\n")
     e_limit = report.limit_energy["total"]
     for entry in report.entries:
         if entry.failed:
-            out.write(f"{_fmt(entry.eps)},failed,{_fmt(e_limit)},,,\n")
+            out.write(f"{_fmt(entry.eps)},failed,{_fmt(e_limit)},,,,,\n")
             continue
         rec_gap = entry.recovery_energy - e_limit
         out.write(
             f"{_fmt(entry.eps)},{_fmt(entry.min_energy['total'])},{_fmt(e_limit)},"
-            f"{_fmt(entry.gap)},{_fmt(rec_gap)},{_fmt(entry.h1_to_limit)}\n"
+            f"{_fmt(entry.gap)},{_fmt(rec_gap)},{_fmt(entry.h1_to_limit)},"
+            f"{entry.iterations},{entry.termination}\n"
         )
     return out.getvalue()
 

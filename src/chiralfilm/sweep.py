@@ -7,7 +7,9 @@ minimum-energy gaps, recovery energies, H1 distances to the limit minimizer,
 and the s-derivative energy share.  Pass/fail flags encode the expected
 trends: gaps non-increasing with the smallest at most 20% of the largest,
 recovery energies non-increasing, H1 distances non-increasing, s-shares
-decreasing.
+decreasing.  The flag `all_converged` records whether the kept limit run and
+every successful thickness stopped at the gradient tolerance; it is reported
+beside the trends and does not enter `pass`.
 
 Also houses the pointwise identity checks: the anisotropy density vanishes
 (to roundoff) for bulk/anisotropic/temperature perturbations with a sphere
@@ -212,6 +214,11 @@ def run_sweep(config: SweepConfig):
         entries.append(entry)
 
     residual, scale = check_vanishing_identity(grid, target, pert, seed=config.seed)
+    flags = _trend_flags(entries)
+    flags["all_converged"] = all(
+        t == "gradient_tolerance"
+        for t in [limit_rep.termination] + [e.termination for e in entries if not e.failed]
+    )
     report = SweepReport(
         limit_energy=limit_rep.energy.as_dict(),
         limit_iterations=limit_rep.iterations,
@@ -219,7 +226,7 @@ def run_sweep(config: SweepConfig):
         entries=entries,
         identity_residual=residual,
         identity_scale=scale,
-        flags=_trend_flags(entries),
+        flags=flags,
     )
     return report, artifacts
 

@@ -98,7 +98,10 @@ class EllipsoidTarget(TargetManifold):
         self.semi_axes = axes
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.admissible_radius = 0.5 * float(np.min(axes))
+        # the normal tube is a tubular neighborhood only inside the reach
+        # min(a)^2 / max(a), which is below 0.5 min(a) when min(a) < 0.5 max(a)
+        a_min, a_max = float(np.min(axes)), float(np.max(axes))
+        self.admissible_radius = min(0.5 * a_min, 0.9 * a_min * a_min / a_max)
         self._a2 = axes * axes
 
     def _multiplier(self, y):

@@ -14,7 +14,7 @@ from chiralfilm.config import (
     resolve_config,
 )
 from chiralfilm.descent import random_field
-from chiralfilm.energies import limit_energy, thin_film_energy
+from chiralfilm.energies import DirectorField, limit_energy, thin_film_energy
 from chiralfilm.reporting import (
     dumps_canonical,
     read_field_csv,
@@ -130,16 +130,47 @@ def test_describe_surface(tmp_path):
     assert json.loads((out_dir / "version.json").read_text())["artifact_version"] == __version__
 
 
+def _per_cell_field_csv(grid, field):
+    """Reference writer: one format(x, ".17g") call per cell."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = []
+    if field.layout == "surface":
+        lines.append("u,v,ux,uy,uz\n")
+        for i in range(grid.shape[0]):
+            for j in range(grid.shape[1]):
+                cells = [grid.u[i], grid.v[j], *field.values[i, j]]
+                lines.append(",".join(fmt(c) for c in cells) + "\n")
+    else:
+        lines.append("u,v,s,ux,uy,uz\n")
+        s = field.s_layers()
+        for i in range(grid.shape[0]):
+            for j in range(grid.shape[1]):
+                for k in range(field.n_s):
+                    cells = [grid.u[i], grid.v[j], s[k], *field.values[i, j, k]]
+                    lines.append(",".join(fmt(c) for c in cells) + "\n")
+    return "".join(lines)
+
+
 def test_field_csv_roundtrip(tmp_path):
+    # the streamed writer matches per-cell formatting byte for byte, and reading
+    # back returns every double bit for bit, signed zero and subnormals included
     cfg = resolve_config(json.loads(json.dumps(TINY)))
-    grid, target, pert, tensor, _ = build_objects(cfg)
-    for layout, n_s in (("surface", None), ("thin", 4)):
-        field = random_field(grid, target, layout, n_s=n_s, seed=5)
+    grid, _, _, _, _ = build_objects(cfg)
+    rng = np.random.default_rng(7)
+    special = np.array([-0.0, 5e-324, 1e-300, 1e308, -5e-324, -1e308])
+    for layout, shape in (("surface", grid.shape + (3,)), ("thin", grid.shape + (5, 3))):
+        values = rng.standard_normal(shape)
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, size=4 * special.size, replace=False)] = np.repeat(special, 4)
+        field = DirectorField(values=values, layout=layout)
         path = tmp_path / f"{layout}.csv"
         write_field_csv(grid, field, str(path))
+        assert path.read_bytes() == _per_cell_field_csv(grid, field).encode()
         back = read_field_csv(grid, str(path))
         assert back.layout == layout
-        assert np.array_equal(back.values, field.values)
+        assert back.values.tobytes() == values.tobytes()
 
 
 def test_eval_energy_matches_library(tmp_path, capsys):
@@ -206,6 +237,12 @@ def test_sweep_command_artifacts_and_determinism(tmp_path):
     assert len(report["report"]["per_eps"]) == 2
     csv_lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 2
+    assert csv_lines[0].endswith(",h1_dist,iterations,termination")
+    for row, entry in zip(csv_lines[1:], report["report"]["per_eps"]):
+        assert row.split(",")[-2:] == [str(entry["iterations"]), entry["termination"]]
+    # the 60-iteration cap stops the limit run, and the flag says so
+    assert report["report"]["limit"]["termination"] == "max_iterations"
+    assert report["report"]["flags"]["all_converged"] is False
     assert (out_dir / "fields" / "limit.csv").exists()
     assert (out_dir / "fields" / "eps_0.2.csv").exists()
     assert (out_dir / "config.echo.json").exists()
@@ -214,6 +251,14 @@ def test_sweep_command_artifacts_and_determinism(tmp_path):
 
     assert main(["sweep", "--config", path, "--quiet"]) == 0
     assert (out_dir / "report.json").read_bytes() == report_bytes
+
+    # the flag stays out of `pass`: with a 100-iteration cap and these thicknesses
+    # every run stops on the cap, and the trends still pass
+    capped = tmp_path / "capped"
+    path = write_tiny_config(tmp_path, capped, {"minimizer": {"max_iterations": 100}})
+    assert main(["sweep", "--config", path, "--eps-list", "0.2,0.05", "--quiet"]) == 0
+    flags = json.loads((capped / "report.json").read_text())["report"]["flags"]
+    assert flags["pass"] is True and flags["all_converged"] is False
 
 
 def test_sweep_zero_perturbation_fixture(tmp_path):
@@ -227,6 +272,8 @@ def test_sweep_zero_perturbation_fixture(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     for entry in report["report"]["per_eps"]:
         assert entry["gap"] < 1e-8
+    # every minimization of this fixture reaches the gradient tolerance
+    assert report["report"]["flags"]["all_converged"] is True
 
 
 def test_report_json_roundtrip_is_exact(tmp_path):

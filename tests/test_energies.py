@@ -408,6 +408,38 @@ def test_custom_perturbation_gradient_fd_fallback(small_torus, rng):
                 assert abs(ga - fd) <= 1e-5 * max(abs(ga), abs(fd), 1.0), layout
 
 
+def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
+    custom = CustomPerturbation(
+        lambda ctx, s: right_cross_matrix(s) * (1.0 + np.sum(s * s, axis=-1))[..., None, None]
+    )
+    tensor = EllipticTensor("scalar_field", ScalarSurfaceField("banded", c0=1.2, c1=0.2))
+    for pert, tens in ((BulkDMI(1.0), None), (custom, tensor)):
+        for layout in ("surface", "thin"):
+            def fresh():
+                if layout == "surface":
+                    return LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tens)
+                return ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tens)
+
+            v = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=23).values
+            w = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=24).values
+            want_bd, want_g = fresh().breakdown_and_gradient(v)
+            model = fresh()
+            assert model.breakdown(v) == want_bd
+            # after breakdown(v) the gradient reuses its forward pass, bit for bit
+            bd, g = model.breakdown_and_gradient(v)
+            assert bd == want_bd and g.tobytes() == want_g.tobytes()
+            # the reused state is consumed: a second call recomputes it
+            bd, g = model.breakdown_and_gradient(v)
+            assert bd == want_bd and g.tobytes() == want_g.tobytes()
+            # an in-place change after breakdown is seen, not served from the memo
+            moved = v.copy()
+            model.breakdown(moved)
+            moved[...] = w
+            bd, g = model.breakdown_and_gradient(moved)
+            want_bd, want_g = fresh().breakdown_and_gradient(w)
+            assert bd == want_bd and g.tobytes() == want_g.tobytes()
+
+
 @pytest.mark.parametrize("layout", ["surface", "thin"])
 def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
     # the same linear K through the stored basis and through per-iterate evaluation

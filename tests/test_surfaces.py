@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralfilm.energies import s_quadrature
 from chiralfilm.surfaces import (
@@ -7,6 +9,7 @@ from chiralfilm.surfaces import (
     SurfaceSpec,
     apply_difference,
     build_surface,
+    difference_matrix,
     metric_tangent_coeff,
     metric_volume_factor,
     tubular_point,
@@ -258,6 +261,28 @@ def test_adjoint_is_exact_transpose(small_torus, rng):
     lhs = np.sum(apply_difference(diff_s, x, 2) * y)
     rhs = np.sum(x * apply_difference(diff_s.T, y, 2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+_extents = st.lists(st.integers(1, 3), max_size=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(4, 40), periodic=st.booleans(), spacing=st.floats(1e-3, 10.0),
+       lead=_extents, trail=_extents, seed=st.integers(0, 2**32 - 1))
+def test_stencil_adjoint_identity(n, periodic, spacing, lead, trail, seed):
+    # <D x, y> = <x, D^T y> along any axis of any array shape
+    d = difference_matrix(n, spacing, periodic)
+    axis = len(lead)
+    shape = tuple(lead) + (n,) + tuple(trail)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape)
+    dx = apply_difference(d, x, axis)
+    dty = apply_difference(d.T, y, axis)
+    assert dx.shape == dty.shape == shape
+    lhs, rhs = np.sum(dx * y), np.sum(x * dty)
+    scale = np.sum(np.abs(dx * y)) + np.sum(np.abs(x * dty))
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from chiralfilm.perturbations import (
     TemperatureDMI,
     ZeroPerturbation,
 )
+from chiralfilm.reporting import sweep_csv
 from chiralfilm.surfaces import SurfaceSpec, build_surface
 from chiralfilm.sweep import (
     SweepConfig,
@@ -149,6 +150,10 @@ def test_failed_eps_entry_marked_and_sweep_continues():
     assert not report.entries[1].failed
     assert not report.flags["all_eps_succeeded"]
     assert not report.flags["pass"]
+    # the failed row leaves the iteration and termination columns empty
+    rows = sweep_csv(report).splitlines()
+    assert rows[1].split(",")[1] == "failed" and rows[1].endswith(",,")
+    assert rows[2].split(",")[-1] == report.entries[1].termination
 
 
 @pytest.mark.parametrize(

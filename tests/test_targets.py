@@ -203,17 +203,29 @@ def _unit(v):
 
 def _offset_point(axes, direction, tangent, normal_step, tangent_step):
     """A surface point moved along its normal and along a tangent, both within
-    admissible_radius; inward steps also stop short of the reach
-    min(a)^2 / max(a), past which an eccentric ellipsoid puts points on its
-    medial axis, where the projection is undefined and raises."""
+    admissible_radius."""
     ell = EllipsoidTarget(axes)
     sigma0 = axes * _unit(direction)
     along = ell.tangent_project(sigma0, np.asarray(tangent, dtype=float))
     if np.linalg.norm(along) > 1e-3:
         along = _unit(along)
-    inward = min(ell.admissible_radius, 0.9 * np.min(axes) ** 2 / np.max(axes))
-    depth = normal_step * (ell.admissible_radius if normal_step > 0 else inward)
+    depth = normal_step * ell.admissible_radius
     return sigma0 + depth * ell.normal(sigma0) + tangent_step * ell.admissible_radius * along
+
+
+def test_ellipsoid_admissible_radius_stays_inside_the_reach(rng):
+    # with min(a) / max(a) = 1/4 the reach min(a)^2 / max(a) = 0.125 is below
+    # 0.5 min(a) = 0.25; every normal offset inside the radius projects to its foot
+    axes = np.array([0.5, 2.0, 2.0])
+    ell = EllipsoidTarget(axes)
+    assert ell.admissible_radius < np.min(axes) ** 2 / np.max(axes)
+    sigma = np.concatenate([[[0.0, 2.0, 0.0], [0.0, 0.0, -2.0]],
+                            ell.project(rng.standard_normal((400, 3)))])
+    normal = ell.normal(sigma)
+    for t in np.linspace(-0.999, 0.999, 21) * ell.admissible_radius:
+        assert np.max(np.abs(ell.project(sigma + t * normal) - sigma)) < 1e-9
+    # the presets' axes keep their radius
+    assert EllipsoidTarget([1.2, 1.0, 0.8]).admissible_radius == 0.4
 
 
 _direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
