@@ -2,7 +2,7 @@
 
 Every subcommand is a thin shell over library calls: it loads and resolves
 the JSON run configuration, dispatches to the library, and serializes the
-results.  Exit codes: 0 success, 1 configuration/validation error,
+results.  Exit codes: 0 success, 1 configuration/validation or usage error,
 2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS thread count
 before any computation.
 """
@@ -15,12 +15,20 @@ import os
 import sys
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 1; 2 is kept for numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     common.add_argument("--json", action="store_true", dest="json_out",
                         help="machine-readable stdout only")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chiralfilm",
         description="Chiral Dirichlet energies on curved thin films",
         parents=[common],
@@ -119,7 +127,7 @@ def _cmd_describe_surface(args):
     from .reporting import frame_table_csv, write_json, write_text
 
     cfg = _load(args, {"output_dir": args.output_dir})
-    grid, _, _, _, _ = build_objects(cfg)
+    grid = build_objects(cfg).grid
     out = cfg["output_dir"]
     write_text(frame_table_csv(grid), os.path.join(out, "frames.csv"))
     budget = {
@@ -143,17 +151,16 @@ def _cmd_eval_energy(args):
     from .reporting import read_field_csv
 
     cfg = _load(args, {"output_dir": args.output_dir})
-    grid, target, pert, tensor, _ = build_objects(cfg)
-    field = read_field_csv(grid, args.field)
+    run = build_objects(cfg)
+    field = read_field_csv(run.grid, args.field)
     if args.form == "thin":
         if args.eps is None:
             raise ValueError("--eps is required for the thin energy form")
-        bd = thin_film_energy(grid, pert, args.eps, field,
-                              tensor=tensor if not tensor.is_identity else None)
+        bd = thin_film_energy(run.grid, run.pert, args.eps, field, tensor=run.tensor)
     elif args.form == "limit":
-        bd = limit_energy(grid, target, pert, field)
+        bd = limit_energy(run.grid, run.target, run.pert, field)
     else:
-        bd = limit_energy_general(grid, target, pert, tensor, field)
+        bd = limit_energy_general(run.grid, run.target, run.pert, run.tensor, field)
     _echo_config(cfg, cfg["output_dir"])
     _emit(args, bd.as_dict())
     return 0
@@ -167,21 +174,19 @@ def _cmd_minimize(args):
     from .reporting import trace_csv, write_field_csv, write_json, write_text
 
     cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
-    grid, target, pert, tensor, options = build_objects(cfg)
-    tensor_arg = None if tensor.is_identity else tensor
-    n_s = cfg["sweep"]["n_s"]
+    run = build_objects(cfg)
     if args.form == "thin":
         if args.eps is None:
             raise ValueError("--eps is required for thin minimization")
-        model = ThinFilmEnergy(grid, pert, args.eps, n_s, tensor=tensor_arg)
-        init = random_field(grid, target, "thin", n_s=n_s, seed=cfg["seed"])
+        model = ThinFilmEnergy(run.grid, run.pert, args.eps, run.n_s, tensor=run.tensor)
+        init = random_field(run.grid, run.target, "thin", n_s=run.n_s, seed=run.seed)
     else:
-        model = LimitEnergy(grid, target, pert, tensor=tensor_arg)
-        init = random_field(grid, target, "surface", seed=cfg["seed"])
-    field, report = minimize(model, target, init, options)
+        model = LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
+        init = random_field(run.grid, run.target, "surface", seed=run.seed)
+    field, report = minimize(model, run.target, init, run.options)
 
     out = cfg["output_dir"]
-    write_field_csv(grid, field, os.path.join(out, "minimizer.csv"))
+    write_field_csv(run.grid, field, os.path.join(out, "minimizer.csv"))
     write_text(trace_csv(report), os.path.join(out, "trace.csv"))
     summary = dict(report.as_dict(), artifact_version=__version__, form=args.form)
     if args.eps is not None:
@@ -199,25 +204,13 @@ def _cmd_sweep(args):
     from . import __version__
     from .config import build_objects
     from .reporting import sweep_csv, trace_csv, write_field_csv, write_json, write_text
-    from .sweep import SweepConfig, run_sweep
+    from .sweep import run_sweep
 
-    overrides = {"output_dir": args.output_dir, "seed": args.seed}
-    cfg = _load(args, overrides)
+    cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
     if args.eps_list:
         cfg["sweep"]["eps_list"] = [float(tok) for tok in args.eps_list.split(",") if tok]
-    grid, target, pert, tensor, options = build_objects(cfg)
-    sweep_config = SweepConfig(
-        grid=grid,
-        target=target,
-        pert=pert,
-        tensor=None if tensor.is_identity else tensor,
-        eps_list=tuple(cfg["sweep"]["eps_list"]),
-        n_s=cfg["sweep"]["n_s"],
-        options=options,
-        warm_start=cfg["sweep"]["warm_start"],
-        restarts=cfg["sweep"]["restarts"],
-        seed=cfg["seed"],
-    )
+    sweep_config = build_objects(cfg)
+    grid = sweep_config.grid
     report, artifacts = run_sweep(sweep_config)
 
     out = cfg["output_dir"]
@@ -255,10 +248,10 @@ def _cmd_check_identities(args):
     from .sweep import check_vanishing_identity, identity_is_predicted_vanishing
 
     cfg = _load(args, {"output_dir": args.output_dir})
-    grid, target, pert, _, _ = build_objects(cfg)
-    residual, scale = check_vanishing_identity(grid, target, pert, samples=args.samples,
-                                               seed=cfg["seed"])
-    predicted = identity_is_predicted_vanishing(pert, target)
+    run = build_objects(cfg)
+    residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
+                                               samples=args.samples, seed=run.seed)
+    predicted = identity_is_predicted_vanishing(run.pert, run.target)
     ok = residual <= 1e-14 * max(scale, 1e-300) if predicted else residual > 0
     payload = {
         "max_residual": residual,

@@ -2,36 +2,81 @@
 
 A run is described by a single JSON document.  Validation rejects unknown
 keys; resolution materializes every default so the echoed config is
-self-contained and re-resolving an echoed config is the identity.
+self-contained and re-resolving an echoed config is the identity.  Each
+default is read from the library class the parameter is passed to.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 
 import jsonschema
 
 from .descent import MinimizeOptions
 from .perturbations import (
+    AnisotropicDMI,
+    BulkDMI,
     EllipticTensor,
+    InterfacialDMI,
     ScalarSurfaceField,
+    TemperatureDMI,
     make_perturbation,
 )
 from .surfaces import SurfaceSpec, build_surface
-from .targets import make_target
+from .sweep import DEFAULT_EPS_LIST, SweepConfig
+from .targets import EllipsoidTarget, SphereTarget, make_target
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (schema path and message)."""
 
 
+_REQUIRED = object()  # marks a parameter without a default
+
+
+def _params(factory, *names):
+    """{name: default} for the named parameters of `factory`; _REQUIRED where it has none."""
+    signature = inspect.signature(factory).parameters
+    return {n: _REQUIRED if signature[n].default is inspect.Parameter.empty else signature[n].default
+            for n in names}
+
+
+_GRID = ("n_u", "n_v")
+_SCALAR_FIELD_PARAMS = ("saturation", "field")  # parameters that hold a scalar-field section
+_SCALAR_FIELD_KINDS = {
+    kind: _params(ScalarSurfaceField, "c0", "c", "c1") for kind in ("constant", "affine", "banded")
+}
+# Per section, each kind's parameters and their defaults.
+_KINDS = {
+    "surface": {
+        "sphere": _params(SurfaceSpec, *_GRID, "radius", "theta_cap"),
+        "torus": _params(SurfaceSpec, *_GRID, "major_radius", "minor_radius"),
+        "cylinder": _params(SurfaceSpec, *_GRID, "radius", "height"),
+        "flat_patch": _params(SurfaceSpec, *_GRID, "lx", "ly", "periodic_u", "periodic_v",
+                              "flat_eps_max"),
+    },
+    "target": {
+        "sphere": _params(SphereTarget, "radius"),
+        "ellipsoid": _params(EllipsoidTarget, "semi_axes"),
+    },
+    "perturbation": {
+        "zero": {},
+        "bulk_dmi": _params(BulkDMI, "kappa"),
+        "interfacial_dmi": _params(InterfacialDMI, "kappa"),
+        "anisotropic_dmi": _params(AnisotropicDMI, "coupling"),
+        "temperature": _params(TemperatureDMI, "saturation", "coupling"),
+    },
+    "tensor": {"identity": {}, "scalar_field": {"field": _REQUIRED}},
+}
+
 _SCALAR_FIELD_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["constant", "affine", "banded"]},
+        "kind": {"enum": list(_SCALAR_FIELD_KINDS)},
         "c0": {"type": "number"},
         "c": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
         "c1": {"type": "number"},
@@ -55,7 +100,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["sphere", "torus", "cylinder", "flat_patch"]},
+                "kind": {"enum": list(_KINDS["surface"])},
                 "n_u": {"type": "integer", "minimum": 4},
                 "n_v": {"type": "integer", "minimum": 4},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
@@ -75,7 +120,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["sphere", "ellipsoid"]},
+                "kind": {"enum": list(_KINDS["target"])},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "semi_axes": {
                     "type": "array",
@@ -90,9 +135,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": ["zero", "bulk_dmi", "interfacial_dmi", "anisotropic_dmi", "temperature"]
-                },
+                "kind": {"enum": list(_KINDS["perturbation"])},
                 "kappa": {"type": "number"},
                 "coupling": _MATRIX_SCHEMA,
                 "saturation": _SCALAR_FIELD_SCHEMA,
@@ -103,7 +146,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["identity", "scalar_field"]},
+                "kind": {"enum": list(_KINDS["tensor"])},
                 "field": _SCALAR_FIELD_SCHEMA,
             },
         },
@@ -139,37 +182,8 @@ SCHEMA = {
     },
 }
 
-_SURFACE_DEFAULTS = {
-    "sphere": {"n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
-    "torus": {"n_u": 64, "n_v": 64, "major_radius": 2.0, "minor_radius": 0.5},
-    "cylinder": {"n_u": 64, "n_v": 64, "radius": 1.0, "height": 2.0},
-    "flat_patch": {
-        "n_u": 64,
-        "n_v": 64,
-        "lx": 1.0,
-        "ly": 1.0,
-        "periodic_u": False,
-        "periodic_v": False,
-        "flat_eps_max": 1.0,
-    },
-}
-
-_MINIMIZER_DEFAULTS = {
-    "max_iterations": 5000,
-    "grad_tol": 1e-6,
-    "step_rule": "bb",
-    "initial_step": 1.0,
-    "armijo_c": 1e-4,
-    "shrink": 0.5,
-    "max_halvings": 30,
-}
-
-_SWEEP_DEFAULTS = {
-    "eps_list": [0.2, 0.1, 0.05, 0.025],
-    "n_s": 8,
-    "warm_start": "limit-first",
-    "restarts": 1,
-}
+_MINIMIZER = _params(MinimizeOptions, *SCHEMA["properties"]["minimizer"]["properties"])
+_SWEEP = _params(SweepConfig, "n_s", "warm_start", "restarts")
 
 
 def _surface_kappa_max(surface: dict) -> float:
@@ -189,103 +203,57 @@ def _default_eps_list(surface: dict) -> list:
     if kappa > 0.0:
         eps_max = 1.0 / (2.0 * kappa)
     else:
-        eps_max = surface.get("flat_eps_max", 1.0)
-    clipped = [e for e in _SWEEP_DEFAULTS["eps_list"] if e <= eps_max]
-    return clipped or [0.5 * eps_max]
+        eps_max = surface["flat_eps_max"]
+    clipped = [e for e in DEFAULT_EPS_LIST if e <= eps_max] or [0.5 * eps_max]
+    if clipped[0] <= 0.0:
+        raise ConfigError("config invalid at surface: its curvature admits no film thickness")
+    return clipped
 
-_SCALAR_FIELD_DEFAULTS = {"c0": 1.0, "c": [0.0, 0.0, 0.0], "c1": 0.0}
+
+# Built once: jsonschema.validate would check SCHEMA against its meta-schema on
+# every call, 99% of the cost of resolving a config.
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def validate_config(raw: dict):
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {error.message}")
 
 
-def _resolved_scalar_field(section: dict) -> dict:
-    out = dict(_SCALAR_FIELD_DEFAULTS)
-    out.update(section)
-    out["kind"] = section["kind"]
-    return {k: out[k] for k in ("kind", "c0", "c", "c1")}
+def _resolve_kind(kinds: dict, section: dict, path: str) -> dict:
+    """`section` with every parameter of its kind present; defaults are copied."""
+    kind = section["kind"]
+    params = kinds[kind]
+    for key in section:
+        if key != "kind" and key not in params:
+            raise ConfigError(f"config invalid at {path}/{key}: not a parameter of kind {kind!r}")
+    out = {"kind": kind}
+    for key, default in params.items():
+        if key in section:
+            value = section[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"config invalid at {path}: kind {kind!r} requires {key}")
+        else:
+            value = list(default) if isinstance(default, tuple) else default
+        if key in _SCALAR_FIELD_PARAMS:
+            value = _resolve_kind(_SCALAR_FIELD_KINDS, value, f"{path}/{key}")
+        out[key] = value
+    return out
 
 
 def resolve_config(raw: dict) -> dict:
     """Validate and materialize all defaults; idempotent."""
     validate_config(raw)
     raw = copy.deepcopy(raw)
-    cfg = {}
-
-    surf = raw["surface"]
-    kind = surf["kind"]
-    merged = dict(_SURFACE_DEFAULTS[kind])
-    for key, val in surf.items():
-        if key != "kind" and key not in merged:
-            raise ConfigError(f"config invalid at surface/{key}: not a parameter of kind {kind!r}")
-        merged[key] = val
-    merged["kind"] = kind
-    cfg["surface"] = {k: merged[k] for k in sorted(merged)}
-
-    tgt = raw["target"]
-    if tgt["kind"] == "sphere":
-        cfg["target"] = {"kind": "sphere", "radius": tgt.get("radius", 1.0)}
-        if "semi_axes" in tgt:
-            raise ConfigError("config invalid at target/semi_axes: not a sphere parameter")
-    else:
-        if "semi_axes" not in tgt:
-            raise ConfigError("config invalid at target: ellipsoid requires semi_axes")
-        if "radius" in tgt:
-            raise ConfigError("config invalid at target/radius: not an ellipsoid parameter")
-        cfg["target"] = {"kind": "ellipsoid", "semi_axes": tgt["semi_axes"]}
-
-    pert = raw["perturbation"]
-    pk = pert["kind"]
-    resolved = {"kind": pk}
-    if pk in ("bulk_dmi", "interfacial_dmi"):
-        resolved["kappa"] = pert.get("kappa", 1.0)
-        extra = set(pert) - {"kind", "kappa"}
-    elif pk == "anisotropic_dmi":
-        if "coupling" not in pert:
-            raise ConfigError("config invalid at perturbation: anisotropic_dmi requires coupling")
-        resolved["coupling"] = pert["coupling"]
-        extra = set(pert) - {"kind", "coupling"}
-    elif pk == "temperature":
-        if "saturation" not in pert or "coupling" not in pert:
-            raise ConfigError(
-                "config invalid at perturbation: temperature requires saturation and coupling"
-            )
-        resolved["saturation"] = _resolved_scalar_field(pert["saturation"])
-        resolved["coupling"] = pert["coupling"]
-        extra = set(pert) - {"kind", "saturation", "coupling"}
-    else:
-        extra = set(pert) - {"kind"}
-    if extra:
-        raise ConfigError(
-            f"config invalid at perturbation/{sorted(extra)[0]}: not a parameter of kind {pk!r}"
-        )
-    cfg["perturbation"] = resolved
-
-    tensor = raw.get("tensor", {"kind": "identity"})
-    if tensor["kind"] == "identity":
-        if "field" in tensor:
-            raise ConfigError("config invalid at tensor/field: identity tensor takes no field")
-        cfg["tensor"] = {"kind": "identity"}
-    else:
-        if "field" not in tensor:
-            raise ConfigError("config invalid at tensor: scalar_field requires field")
-        cfg["tensor"] = {"kind": "scalar_field", "field": _resolved_scalar_field(tensor["field"])}
-
-    mini = dict(_MINIMIZER_DEFAULTS)
-    mini.update(raw.get("minimizer", {}))
-    cfg["minimizer"] = {k: mini[k] for k in sorted(mini)}
-
-    swp = dict(_SWEEP_DEFAULTS)
-    swp["eps_list"] = _default_eps_list(cfg["surface"])  # default is budget-clipped
-    swp.update(raw.get("sweep", {}))
-    cfg["sweep"] = {k: swp[k] for k in sorted(swp)}
-
-    cfg["seed"] = raw.get("seed", 0)
+    raw.setdefault("tensor", {"kind": "identity"})
+    cfg = {section: _resolve_kind(kinds, raw[section], section) for section, kinds in _KINDS.items()}
+    cfg["minimizer"] = {**_MINIMIZER, **raw.get("minimizer", {})}
+    cfg["sweep"] = {**_SWEEP, **raw.get("sweep", {})}
+    if "eps_list" not in cfg["sweep"]:  # the default is clipped to the curvature budget
+        cfg["sweep"]["eps_list"] = _default_eps_list(cfg["surface"])
+    cfg["seed"] = raw.get("seed", SweepConfig.seed)
     cfg["output_dir"] = raw.get("output_dir", "chiralfilm-run")
     return cfg
 
@@ -299,34 +267,28 @@ def load_config(path: str) -> dict:
     return resolve_config(raw)
 
 
-def scalar_field_from(cfg: dict) -> ScalarSurfaceField:
-    return ScalarSurfaceField(kind=cfg["kind"], c0=cfg["c0"], c=tuple(cfg["c"]), c1=cfg["c1"])
+def _arguments(section: dict) -> dict:
+    """Keyword arguments of a resolved section, with its scalar fields built."""
+    return {k: ScalarSurfaceField(**dict(v, c=tuple(v["c"]))) if k in _SCALAR_FIELD_PARAMS else v
+            for k, v in section.items()}
 
 
-def build_objects(cfg: dict):
-    """Instantiate (grid, target, perturbation, tensor, options) from a
-    resolved config."""
-    s = cfg["surface"]
-    spec_kwargs = {k: v for k, v in s.items() if k != "kind"}
-    grid = build_surface(SurfaceSpec(kind=s["kind"], **spec_kwargs))
-
-    t = cfg["target"]
-    target = make_target(t["kind"], **{k: v for k, v in t.items() if k != "kind"})
-
-    p = dict(cfg["perturbation"])
-    kind = p.pop("kind")
-    if kind == "temperature":
-        p["saturation"] = scalar_field_from(p["saturation"])
-    pert = make_perturbation(kind, **p)
-
-    tens = cfg["tensor"]
-    if tens["kind"] == "identity":
-        tensor = EllipticTensor("identity")
-    else:
-        tensor = EllipticTensor("scalar_field", scalar_field_from(tens["field"]))
-
-    options = MinimizeOptions(**cfg["minimizer"])
-    return grid, target, pert, tensor, options
+def build_objects(cfg: dict) -> SweepConfig:
+    """The sweep a resolved config describes: its grid, target, perturbation,
+    tensor, minimizer options and sweep settings."""
+    sweep = cfg["sweep"]
+    return SweepConfig(
+        grid=build_surface(SurfaceSpec(**cfg["surface"])),
+        target=make_target(**cfg["target"]),
+        pert=make_perturbation(**_arguments(cfg["perturbation"])),
+        tensor=EllipticTensor(**_arguments(cfg["tensor"])),
+        eps_list=tuple(sweep["eps_list"]),
+        n_s=sweep["n_s"],
+        options=MinimizeOptions(**cfg["minimizer"]),
+        warm_start=sweep["warm_start"],
+        restarts=sweep["restarts"],
+        seed=cfg["seed"],
+    )
 
 
 _PRESET_MINIMIZER = {"max_iterations": 6000, "grad_tol": 1e-7}

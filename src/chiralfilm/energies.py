@@ -26,7 +26,7 @@ finite differences of the discrete energy to roundoff-limited accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,11 +52,7 @@ class EnergyBreakdown:
                    total=float(tangential) + float(second))
 
     def as_dict(self):
-        return {
-            "tangential": self.tangential,
-            "normal_or_anisotropy": self.normal_or_anisotropy,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def s_quadrature(n_s: int):
@@ -202,11 +198,11 @@ class LimitEnergy:
 
     layout = "surface"
 
-    def __init__(self, grid: SurfaceGrid, target, pert, tensor=None):
+    def __init__(self, grid: SurfaceGrid, target, pert, tensor=IDENTITY_TENSOR):
         self.grid = grid
         self.target = target
         self.pert = pert
-        self.tensor = tensor if tensor is not None else IDENTITY_TENSOR
+        self.tensor = tensor
         self.weight = grid.area_weight
         self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)
         self.kframe = KFrame(grid, pert)
@@ -290,12 +286,12 @@ class ThinFilmEnergy:
 
     layout = "thin"
 
-    def __init__(self, grid: SurfaceGrid, pert, eps: float, n_s: int, tensor=None):
+    def __init__(self, grid: SurfaceGrid, pert, eps: float, n_s: int, tensor=IDENTITY_TENSOR):
         grid.require_eps(eps)
         self.grid = grid
         self.pert = pert
         self.eps = float(eps)
-        self.tensor = tensor if tensor is not None else IDENTITY_TENSOR
+        self.tensor = tensor
         self.s, self.s_weights, self.diff_s = s_quadrature(n_s)
         self.n_s = n_s
         es = eps * self.s[None, None, :]
@@ -374,7 +370,7 @@ class ThinFilmEnergy:
         return bd, grad
 
 
-def thin_film_energy(grid, pert, eps, field: DirectorField, tensor=None) -> EnergyBreakdown:
+def thin_film_energy(grid, pert, eps, field: DirectorField, tensor=IDENTITY_TENSOR) -> EnergyBreakdown:
     if field.layout != "thin":
         raise EnergyError("thin-film energy needs a thin field")
     model = ThinFilmEnergy(grid, pert, eps, field.n_s, tensor=tensor)
@@ -393,7 +389,8 @@ def limit_energy_general(grid, target, pert, tensor, field: DirectorField) -> En
     return LimitEnergy(grid, target, pert, tensor=tensor).breakdown(field.values)
 
 
-def energy_gradient(grid, target, pert, field: DirectorField, eps=None, tensor=None) -> np.ndarray:
+def energy_gradient(grid, target, pert, field: DirectorField, eps=None,
+                    tensor=IDENTITY_TENSOR) -> np.ndarray:
     """Euclidean gradient of the matching energy form w.r.t. node values."""
     if field.layout == "thin":
         if eps is None:
@@ -402,7 +399,7 @@ def energy_gradient(grid, target, pert, field: DirectorField, eps=None, tensor=N
     return LimitEnergy(grid, target, pert, tensor=tensor).gradient(field.values)
 
 
-def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=None) -> np.ndarray:
+def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TENSOR) -> np.ndarray:
     """Tangent vector minimizing the normal-term density per node.
 
     With the identity tensor this is (n_M(u) (x) n_M(u) - I) K(u) n_N; a
@@ -412,7 +409,7 @@ def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=None) -> np
     kn = frame_images(pert.kmatrix(ctx, values), ctx)[..., 2, :]
     n_m = target.normal(values)
     d0 = np.sum(kn * n_m, axis=-1, keepdims=True) * n_m - kn
-    if tensor is not None and not tensor.is_identity:
+    if not tensor.is_identity:
         d0 = d0 / tensor.values_on(grid)[..., None]
     return d0
 

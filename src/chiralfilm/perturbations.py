@@ -130,7 +130,7 @@ class ZeroPerturbation(Perturbation):
 
 
 class BulkDMI(Perturbation):
-    def __init__(self, kappa: float):
+    def __init__(self, kappa: float = 1.0):
         self.kappa = float(kappa)
 
     def kmatrix(self, ctx, sigma):
@@ -138,7 +138,7 @@ class BulkDMI(Perturbation):
 
 
 class InterfacialDMI(Perturbation):
-    def __init__(self, kappa: float):
+    def __init__(self, kappa: float = 1.0):
         self.kappa = float(kappa)
 
     def kmatrix(self, ctx, sigma):

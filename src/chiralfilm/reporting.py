@@ -8,6 +8,7 @@ Fields are stored as plot-ready CSV keyed by chart coordinates.
 from __future__ import annotations
 
 import io
+import json
 import os
 
 import numpy as np
@@ -29,7 +30,8 @@ def format_number(x) -> str:
         return '"NaN"'
     if np.isinf(x):
         return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -39,7 +41,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+        return json.dumps(obj, ensure_ascii=False)  # escapes every control character
     if isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return format_number(obj)
     if isinstance(obj, (list, tuple)):

@@ -38,8 +38,8 @@ class SurfaceSpec:
     """Declarative description of a base surface chart and its grid."""
 
     kind: str
-    n_u: int
-    n_v: int
+    n_u: int = 64
+    n_v: int = 64
     radius: float = 1.0          # sphere, cylinder
     theta_cap: float = 0.15      # sphere: excluded polar cap (radians)
     major_radius: float = 2.0    # torus

@@ -18,7 +18,7 @@ target and for the interfacial and zero perturbations with any target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .energies import (
     optimal_corrector,
     recovery_field,
 )
-from .perturbations import InterfacialDMI, ZeroPerturbation, frame_sample
+from .perturbations import IDENTITY_TENSOR, InterfacialDMI, ZeroPerturbation, frame_sample
 from .surfaces import SurfaceGrid
 from .targets import SphereTarget, TargetError
 
@@ -50,7 +50,7 @@ class SweepConfig:
     grid: SurfaceGrid
     target: object
     pert: object
-    tensor: object = None
+    tensor: object = IDENTITY_TENSOR
     eps_list: tuple = DEFAULT_EPS_LIST
     n_s: int = 8
     options: MinimizeOptions = field(default_factory=MinimizeOptions)
@@ -108,21 +108,7 @@ class SweepReport:
                 "iterations": self.limit_iterations,
                 "termination": self.limit_termination,
             },
-            "per_eps": [
-                {
-                    "eps": e.eps,
-                    "failed": e.failed,
-                    "failure": e.failure,
-                    "min_energy": e.min_energy,
-                    "recovery_energy": e.recovery_energy,
-                    "gap": e.gap,
-                    "h1_to_limit": e.h1_to_limit,
-                    "s_share": e.s_share,
-                    "iterations": e.iterations,
-                    "termination": e.termination,
-                }
-                for e in self.entries
-            ],
+            "per_eps": [asdict(e) for e in self.entries],
             "identity_check": {
                 "max_residual": self.identity_residual,
                 "scale": self.identity_scale,

@@ -182,7 +182,7 @@ class EllipsoidTarget(TargetManifold):
 
 def make_target(kind: str, **params) -> TargetManifold:
     if kind == "sphere":
-        return SphereTarget(params.get("radius", 1.0))
+        return SphereTarget(**params)
     if kind == "ellipsoid":
-        return EllipsoidTarget(params["semi_axes"])
+        return EllipsoidTarget(**params)
     raise TargetError(f"unknown target kind {kind!r}")

@@ -8,8 +8,14 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chiralfilm.surfaces import SurfaceSpec, build_surface
+
+# One hypothesis profile for every property test: small enough for Tier-1,
+# and no deadline, since example times vary with array sizes and host load.
+settings.register_profile("chiralfilm", max_examples=50, deadline=None)
+settings.load_profile("chiralfilm")
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from chiralfilm.perturbations import (
     TemperatureDMI,
 )
 from chiralfilm.surfaces import SurfaceSpec, build_surface, metric_volume_factor
-from chiralfilm.sweep import SweepConfig, check_vanishing_identity, planar_interfacial_crosscheck, run_sweep
+from chiralfilm.sweep import check_vanishing_identity, planar_interfacial_crosscheck, run_sweep
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
 
 PRESET_NAMES = ("bulk", "interfacial", "anisotropic", "temperature")
@@ -41,21 +41,7 @@ _SWEEP_CACHE = {}
 
 def preset_sweep(name):
     if name not in _SWEEP_CACHE:
-        cfg = preset_config(name)
-        grid, target, pert, tensor, options = build_objects(cfg)
-        sweep_config = SweepConfig(
-            grid=grid,
-            target=target,
-            pert=pert,
-            tensor=None if tensor.is_identity else tensor,
-            eps_list=tuple(cfg["sweep"]["eps_list"]),
-            n_s=cfg["sweep"]["n_s"],
-            options=options,
-            warm_start=cfg["sweep"]["warm_start"],
-            restarts=cfg["sweep"]["restarts"],
-            seed=cfg["seed"],
-        )
-        report, _ = run_sweep(sweep_config)
+        report, _ = run_sweep(build_objects(preset_config(name)))
         _SWEEP_CACHE[name] = report
     return _SWEEP_CACHE[name]
 

@@ -95,7 +95,7 @@ def test_default_eps_list_clipped_to_budget():
     })
     # kappa_max = 1/0.21 -> eps_max ~ 0.105: the 0.2 entry is dropped
     assert cfg["sweep"]["eps_list"] == [0.1, 0.05, 0.025]
-    grid, _, _, _, _ = build_objects(cfg)
+    grid = build_objects(cfg).grid
     for eps in cfg["sweep"]["eps_list"]:
         grid.require_eps(eps)
     # an explicit list is kept verbatim (validated later by the sweep)
@@ -106,6 +106,14 @@ def test_default_eps_list_clipped_to_budget():
         "sweep": {"eps_list": [0.09, 0.03]},
     })
     assert cfg["sweep"]["eps_list"] == [0.09, 0.03]
+    # a torus whose tube reaches its axis admits no thickness to default to
+    degenerate = {
+        "surface": {"kind": "torus", "major_radius": 1.0, "minor_radius": 1.0},
+        "target": {"kind": "sphere"},
+        "perturbation": {"kind": "zero"},
+    }
+    with pytest.raises(ConfigError, match="^config invalid at surface"):
+        resolve_config(degenerate)
 
 
 def test_config_echo_idempotent(tmp_path):
@@ -157,7 +165,7 @@ def test_field_csv_roundtrip(tmp_path):
     # the streamed writer matches per-cell formatting byte for byte, and reading
     # back returns every double bit for bit, signed zero and subnormals included
     cfg = resolve_config(json.loads(json.dumps(TINY)))
-    grid, _, _, _, _ = build_objects(cfg)
+    grid = build_objects(cfg).grid
     rng = np.random.default_rng(7)
     special = np.array([-0.0, 5e-324, 1e-300, 1e308, -5e-324, -1e308])
     for layout, shape in (("surface", grid.shape + (3,)), ("thin", grid.shape + (5, 3))):
@@ -177,7 +185,8 @@ def test_eval_energy_matches_library(tmp_path, capsys):
     out_dir = tmp_path / "eval"
     path = write_tiny_config(tmp_path, out_dir)
     cfg = load_config(path)
-    grid, target, pert, tensor, _ = build_objects(cfg)
+    run = build_objects(cfg)
+    grid, target, pert = run.grid, run.target, run.pert
 
     field = random_field(grid, target, "surface", seed=5)
     field_path = tmp_path / "field.csv"
@@ -204,7 +213,8 @@ def test_eval_energy_thin_requires_eps(tmp_path, capsys):
     out_dir = tmp_path / "evalbad"
     path = write_tiny_config(tmp_path, out_dir)
     cfg = load_config(path)
-    grid, target, _, _, _ = build_objects(cfg)
+    run = build_objects(cfg)
+    grid, target = run.grid, run.target
     thin = random_field(grid, target, "thin", n_s=4, seed=6)
     thin_path = tmp_path / "thin.csv"
     write_field_csv(grid, thin, str(thin_path))
@@ -322,6 +332,20 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["sweep", "--config", str(path), "--quiet"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json"), "--quiet"]) == 1
+
+
+def test_usage_errors_exit_1(capsys):
+    # 2 means numerical failure; a malformed command line is a usage error
+    for argv in ([], ["sweep"], ["no-such-command"], ["preset", "nope"],
+                 ["sweep", "--config", "c.json", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+    capsys.readouterr()
 
 
 def test_canonical_json_formatting():

@@ -21,6 +21,7 @@ from chiralfilm.perturbations import (
     AnisotropicDMI,
     BulkDMI,
     CustomPerturbation,
+    IDENTITY_TENSOR,
     EllipticTensor,
     InterfacialDMI,
     ScalarSurfaceField,
@@ -413,7 +414,7 @@ def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
         lambda ctx, s: right_cross_matrix(s) * (1.0 + np.sum(s * s, axis=-1))[..., None, None]
     )
     tensor = EllipticTensor("scalar_field", ScalarSurfaceField("banded", c0=1.2, c1=0.2))
-    for pert, tens in ((BulkDMI(1.0), None), (custom, tensor)):
+    for pert, tens in ((BulkDMI(1.0), IDENTITY_TENSOR), (custom, tensor)):
         for layout in ("surface", "thin"):
             def fresh():
                 if layout == "surface":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chiralfilm.energies import s_quadrature
@@ -266,7 +266,6 @@ def test_adjoint_is_exact_transpose(small_torus, rng):
 _extents = st.lists(st.integers(1, 3), max_size=2)
 
 
-@settings(max_examples=50, deadline=None)
 @given(n=st.integers(4, 40), periodic=st.booleans(), spacing=st.floats(1e-3, 10.0),
        lead=_extents, trail=_extents, seed=st.integers(0, 2**32 - 1))
 def test_stencil_adjoint_identity(n, periodic, spacing, lead, trail, seed):

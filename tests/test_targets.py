@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError, make_target
@@ -232,7 +232,6 @@ _direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
     lambda v: np.linalg.norm(v) > 0.1)
 
 
-@settings(max_examples=50, deadline=None)
 @given(axes=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3), direction=_direction,
        tangent=_direction, normal_step=st.floats(-0.95, 0.95), tangent_step=st.floats(0.0, 0.95))
 def test_ellipsoid_projection_properties(axes, direction, tangent, normal_step, tangent_step):
