@@ -101,6 +101,14 @@ def _load(args, overrides=None):
     return cfg
 
 
+def _check_eps(args):
+    """`--eps` is the film half-thickness: required by the thin form, meaningless for the others."""
+    if args.form == "thin" and args.eps is None:
+        raise ValueError("--eps is required for the thin form")
+    if args.form != "thin" and args.eps is not None:
+        raise ValueError(f"--eps applies only to the thin form, not --form {args.form}")
+
+
 def _echo_config(cfg, out_dir):
     from . import __version__
     from .reporting import write_json
@@ -150,12 +158,11 @@ def _cmd_eval_energy(args):
     from .energies import limit_energy, limit_energy_general, thin_film_energy
     from .reporting import read_field_csv
 
+    _check_eps(args)
     cfg = _load(args, {"output_dir": args.output_dir})
     run = build_objects(cfg)
     field = read_field_csv(run.grid, args.field)
     if args.form == "thin":
-        if args.eps is None:
-            raise ValueError("--eps is required for the thin energy form")
         bd = thin_film_energy(run.grid, run.pert, args.eps, field, tensor=run.tensor)
     elif args.form == "limit":
         bd = limit_energy(run.grid, run.target, run.pert, field)
@@ -173,11 +180,10 @@ def _cmd_minimize(args):
     from .energies import LimitEnergy, ThinFilmEnergy
     from .reporting import trace_csv, write_field_csv, write_json, write_text
 
+    _check_eps(args)
     cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
     run = build_objects(cfg)
     if args.form == "thin":
-        if args.eps is None:
-            raise ValueError("--eps is required for thin minimization")
         model = ThinFilmEnergy(run.grid, run.pert, args.eps, run.n_s, tensor=run.tensor)
         init = random_field(run.grid, run.target, "thin", n_s=run.n_s, seed=run.seed)
     else:

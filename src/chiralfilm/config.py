@@ -156,11 +156,6 @@ SCHEMA = {
             "properties": {
                 "max_iterations": {"type": "integer", "minimum": 0},
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "step_rule": {"enum": ["bb", "fixed"]},
-                "initial_step": {"type": "number", "exclusiveMinimum": 0},
-                "armijo_c": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-                "shrink": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "max_halvings": {"type": "integer", "minimum": 1},
             },
         },
         "sweep": {
@@ -173,7 +168,6 @@ SCHEMA = {
                     "minItems": 1,
                 },
                 "n_s": {"type": "integer", "minimum": 4},
-                "warm_start": {"enum": ["limit-first", "independent"]},
                 "restarts": {"type": "integer", "minimum": 1},
             },
         },
@@ -183,7 +177,7 @@ SCHEMA = {
 }
 
 _MINIMIZER = _params(MinimizeOptions, *SCHEMA["properties"]["minimizer"]["properties"])
-_SWEEP = _params(SweepConfig, "n_s", "warm_start", "restarts")
+_SWEEP = _params(SweepConfig, "n_s", "restarts")
 
 
 def _surface_kappa_max(surface: dict) -> float:
@@ -285,7 +279,6 @@ def build_objects(cfg: dict) -> SweepConfig:
         eps_list=tuple(sweep["eps_list"]),
         n_s=sweep["n_s"],
         options=MinimizeOptions(**cfg["minimizer"]),
-        warm_start=sweep["warm_start"],
         restarts=sweep["restarts"],
         seed=cfg["seed"],
     )

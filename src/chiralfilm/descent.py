@@ -2,8 +2,10 @@
 
 Steps move along the negative tangent-projected gradient and retract every
 node back onto the target by nearest-point projection.  Step sizes follow a
-Barzilai-Borwein guess (or a fixed initial guess) refined by Armijo
-backtracking, so the stored energy trace is non-increasing.
+Barzilai-Borwein guess (first trial step 1), capped so that no node moves
+farther than MAX_NODE_STEP, and refined by Armijo backtracking, so the stored
+energy trace is non-increasing.  The line-search settings are the module
+constants below; only the iteration cap and the gradient tolerance are options.
 """
 
 from __future__ import annotations
@@ -19,24 +21,22 @@ class NumericalFailure(RuntimeError):
     """Energy evaluated to a non-finite value during descent."""
 
 
+ARMIJO_C = 1e-4         # sufficient-decrease constant
+SHRINK = 0.5            # backtracking factor
+MAX_HALVINGS = 30       # backtracking steps before the line search fails
+MAX_NODE_STEP = 0.5     # per-iteration cap on node displacement
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iterations: int = 5000
     grad_tol: float = 1e-6          # relative to max(1, current energy)
-    step_rule: str = "bb"           # "bb" | "fixed"
-    initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_halvings: int = 30
-    max_node_step: float = 0.5      # per-iteration cap on node displacement
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.initial_step <= 0 or self.max_node_step <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if not 0.0 < self.armijo_c < 0.5:
-            raise ValueError("Armijo constant must lie in (0, 0.5)")
-        if self.step_rule not in ("bb", "fixed"):
-            raise ValueError("step_rule must be 'bb' or 'fixed'")
+        if self.max_iterations < 0:
+            raise ValueError("iteration cap must not be negative")
+        if self.grad_tol <= 0:
+            raise ValueError("gradient tolerance must be positive")
 
 
 @dataclass
@@ -80,7 +80,7 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
 
     prev_x = None
     prev_g = None
-    alpha = opts.initial_step
+    alpha = 1.0
     termination = "max_iterations"
     iterations = 0
 
@@ -92,7 +92,7 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
             break
         gg = float(np.sum(g * g))
 
-        if opts.step_rule == "bb" and prev_x is not None:
+        if prev_x is not None:
             dx = x - prev_x
             dg = g - prev_g
             sy = float(np.sum(dx * dg))
@@ -104,22 +104,20 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
                     if yy > 1e-300:
                         alpha = sy / yy
             alpha = min(max(alpha, 1e-12), 1e6)
-        elif opts.step_rule == "fixed":
-            alpha = opts.initial_step
         # keep steps local: nonconvex chiral energies have nearby basins
-        alpha = min(alpha, opts.max_node_step / max(gnorm, 1e-300))
+        alpha = min(alpha, MAX_NODE_STEP / max(gnorm, 1e-300))
 
         accepted = False
         step = alpha
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = target.project(x - step * g)
             cand_bd = model.breakdown(cand)
             if not np.isfinite(cand_bd.total):
                 raise NumericalFailure(f"energy became non-finite at iteration {it}")
-            if cand_bd.total <= bd.total - opts.armijo_c * step * gg:
+            if cand_bd.total <= bd.total - ARMIJO_C * step * gg:
                 accepted = True
                 break
-            step *= opts.shrink
+            step *= SHRINK
         if not accepted:
             termination = "line_search_failure"
             break

@@ -70,6 +70,15 @@ def test_config_rejects_unknown_keys():
     bad["surface"]["extra"] = 2.0
     with pytest.raises(ConfigError):
         resolve_config(bad)
+    # settings that are constants of the minimizer or no longer exist
+    for section, key, value in (("minimizer", "step_rule", "bb"), ("minimizer", "initial_step", 1.0),
+                                ("minimizer", "armijo_c", 1e-4), ("minimizer", "shrink", 0.5),
+                                ("minimizer", "max_halvings", 30),
+                                ("sweep", "warm_start", "limit-first")):
+        bad = json.loads(json.dumps(TINY))
+        bad[section][key] = value
+        with pytest.raises(ConfigError, match=f"^config invalid at {section}: "):
+            resolve_config(bad)
 
 
 def test_config_kind_parameter_mismatch():
@@ -220,6 +229,29 @@ def test_eval_energy_thin_requires_eps(tmp_path, capsys):
     write_field_csv(grid, thin, str(thin_path))
     assert main(["eval-energy", "--config", path, "--form", "thin",
                  "--field", str(thin_path), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("form", ["limit", "general"])
+def test_eval_energy_rejects_eps_without_thin_form(tmp_path, capsys, form):
+    out_dir = tmp_path / "evaleps"
+    path = write_tiny_config(tmp_path, out_dir)
+    run = build_objects(load_config(path))
+    field_path = tmp_path / "field.csv"
+    write_field_csv(run.grid, random_field(run.grid, run.target, "surface", seed=5),
+                    str(field_path))
+    assert main(["eval-energy", "--config", path, "--form", form, "--eps", "0.1",
+                 "--field", str(field_path), "--json"]) == 1
+    assert "--eps applies only to the thin form" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_minimize_rejects_eps_without_thin_form(tmp_path, capsys):
+    out_dir = tmp_path / "minieps"
+    path = write_tiny_config(tmp_path, out_dir)
+    assert main(["minimize", "--config", path, "--form", "limit", "--eps", "7.5",
+                 "--quiet"]) == 1
+    assert "--eps applies only to the thin form" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_minimize_command_and_rerun_determinism(tmp_path):

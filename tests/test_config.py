@@ -1,12 +1,13 @@
 import copy
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chiralfilm.config import ConfigError, resolve_config
+from chiralfilm.config import SCHEMA, ConfigError, resolve_config
 from chiralfilm.reporting import dumps_canonical
 from chiralfilm.surfaces import SurfaceSpec
 
@@ -59,16 +60,10 @@ def any_kind(name):
 minimizer = st.fixed_dictionaries({}, optional={
     "max_iterations": st.integers(0, 10000),
     "grad_tol": st.floats(1e-12, 1.0),
-    "step_rule": st.sampled_from(["bb", "fixed"]),
-    "initial_step": positive,
-    "armijo_c": st.floats(1e-6, 0.49),
-    "shrink": st.floats(0.05, 0.95),
-    "max_halvings": st.integers(1, 60),
 })
 sweep = st.fixed_dictionaries({}, optional={
     "eps_list": st.lists(positive, min_size=1, max_size=5),
     "n_s": st.integers(4, 32),
-    "warm_start": st.sampled_from(["limit-first", "independent"]),
     "restarts": st.integers(1, 5),
 })
 configs = st.fixed_dictionaries(
@@ -143,3 +138,18 @@ def test_resolved_defaults_are_copies():
     assert again["tensor"]["field"]["c"] == [0.0, 0.0, 0.0]
     assert again["perturbation"]["saturation"]["c"] == [0.0, 0.0, 0.0]
     assert again["sweep"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
+
+
+def _schema_names(schema):
+    """Every key of the schema's sections, nested ones included, and every `kind` value."""
+    for key, sub in schema.get("properties", {}).items():
+        yield key
+        if key == "kind":
+            yield from sub["enum"]
+        yield from _schema_names(sub)
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = sorted({name for name in _schema_names(SCHEMA) if f"`{name}`" not in readme})
+    assert missing == []

@@ -104,23 +104,11 @@ def test_nan_energy_aborts():
         minimize(BadModel(), SPHERE, init, MinimizeOptions())
 
 
-def test_fixed_step_rule_descends(flat_patch):
-    model = LimitEnergy(flat_patch, SPHERE, ZeroPerturbation())
-    init = random_field(flat_patch, SPHERE, "surface", seed=4)
-    opts = MinimizeOptions(max_iterations=50, step_rule="fixed", initial_step=0.5)
-    _, report = minimize(model, SPHERE, init, opts)
-    assert report.energy_trace[-1] < report.energy_trace[0]
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         MinimizeOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
-        MinimizeOptions(armijo_c=0.7)
-    with pytest.raises(ValueError):
-        MinimizeOptions(step_rule="newton")
-    with pytest.raises(ValueError):
-        MinimizeOptions(max_node_step=0.0)
+        MinimizeOptions(max_iterations=-1)
 
 
 def test_random_field_reproducible_and_on_manifold(small_torus):

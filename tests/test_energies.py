@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chiralfilm.descent import random_field
 from chiralfilm.energies import (
@@ -325,6 +327,22 @@ def test_temperature_constant_saturation_scaling(small_torus, rng):
     assert lhs.normal_or_anisotropy == pytest.approx(c**2 * rhs.normal_or_anisotropy, rel=1e-10)
 
 
+def assert_gradient_matches_finite_differences(model, values, rng, points):
+    """Central differences (step 1e-5) at `points` random nodes, all three components."""
+    grad = model.gradient(values)
+    step = 1e-5
+    for _ in range(points):
+        idx = tuple(int(rng.integers(0, s)) for s in values.shape[:-1])
+        for comp in range(3):
+            plus = values.copy()
+            plus[idx + (comp,)] += step
+            minus = values.copy()
+            minus[idx + (comp,)] -= step
+            fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
+            ga = grad[idx + (comp,)]
+            assert abs(ga - fd) <= 1e-6 * max(abs(ga), abs(fd), 1.0)
+
+
 @pytest.mark.parametrize("layout", ["surface", "thin"])
 def test_gradient_matches_finite_differences(small_torus, layout, rng):
     pert = InterfacialDMI(1.1)
@@ -335,18 +353,45 @@ def test_gradient_matches_finite_differences(small_torus, layout, rng):
     else:
         f = random_field(small_torus, ELLIPSOID, "thin", n_s=6, seed=16)
         model = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor)
-    grad = model.gradient(f.values)
-    step = 1e-5
-    for _ in range(10):
-        idx = tuple(int(rng.integers(0, s)) for s in f.values.shape[:-1])
-        for comp in range(3):
-            plus = f.values.copy()
-            plus[idx + (comp,)] += step
-            minus = f.values.copy()
-            minus[idx + (comp,)] -= step
-            fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
-            ga = grad[idx + (comp,)]
-            assert abs(ga - fd) <= 1e-6 * max(abs(ga), abs(fd), 1.0)
+    assert_gradient_matches_finite_differences(model, f.values, rng, points=10)
+
+
+coupling = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+                    min_size=3, max_size=3)
+perturbations = st.one_of(
+    st.just(ZeroPerturbation()),
+    st.floats(-2.0, 2.0).map(BulkDMI),
+    st.floats(-2.0, 2.0).map(InterfacialDMI),
+    coupling.map(AnisotropicDMI),
+    st.builds(lambda c0, c, m: TemperatureDMI(ScalarSurfaceField("affine", c0=c0, c=c), m),
+              st.floats(1.0, 2.0),
+              st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+              coupling),
+)
+tensors = st.one_of(
+    st.just(IDENTITY_TENSOR),
+    st.builds(lambda c0, c1: EllipticTensor("scalar_field", ScalarSurfaceField("banded", c0=c0, c1=c1)),
+              st.floats(0.5, 2.0), st.floats(0.0, 0.5)),
+)
+
+
+@pytest.mark.parametrize("layout", ["surface", "thin"])
+@given(kind=st.sampled_from(["sphere", "torus", "cylinder", "flat_patch"]),
+       n_u=st.integers(4, 10), n_v=st.integers(4, 10), n_s=st.integers(4, 6),
+       target=st.sampled_from([SPHERE, ELLIPSOID]), pert=perturbations, tensor=tensors,
+       seed=st.integers(0, 2**16))
+def test_gradient_matches_finite_differences_property(layout, kind, n_u, n_v, n_s, target,
+                                                      pert, tensor, seed):
+    # every surface kind and perturbation, on grids small enough for many examples
+    grid = build_surface(SurfaceSpec(kind, n_u, n_v))
+    if layout == "surface":
+        f = random_field(grid, target, "surface", seed=seed)
+        model = LimitEnergy(grid, target, pert, tensor=tensor)
+    else:
+        f = random_field(grid, target, "thin", n_s=n_s, seed=seed)
+        model = ThinFilmEnergy(grid, pert, 0.5 * grid.budget.eps_max, n_s, tensor=tensor)
+    assert_gradient_matches_finite_differences(model, f.values, np.random.default_rng(seed),
+                                               points=5)
 
 
 def test_gradient_constant_field_zero_perturbation(small_torus):

@@ -93,22 +93,6 @@ def test_torus_bulk_gap_trend():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_independent_warm_start_policy_runs():
-    grid = small_band(16)
-    config = SweepConfig(
-        grid=grid,
-        target=SPHERE,
-        pert=InterfacialDMI(1.0),
-        eps_list=(0.2,),
-        n_s=4,
-        options=MinimizeOptions(max_iterations=300, grad_tol=1e-6),
-        warm_start="independent",
-        seed=5,
-    )
-    report, _ = run_sweep(config)
-    assert not report.entries[0].failed
-
-
 def test_sweep_validation():
     grid = small_band(16)
     good = dict(grid=grid, target=SPHERE, pert=BulkDMI(1.0), n_s=4)
@@ -120,8 +104,6 @@ def test_sweep_validation():
         SweepConfig(eps_list=(), **good).validate()
     with pytest.raises(SweepError):
         SweepConfig(eps_list=(0.2,), grid=grid, target=SPHERE, pert=BulkDMI(1.0), n_s=3).validate()
-    with pytest.raises(SweepError):
-        SweepConfig(eps_list=(0.2,), warm_start="hot", **good).validate()
     with pytest.raises(SweepError):
         SweepConfig(eps_list=(0.2,), restarts=0, **good).validate()
 
