@@ -213,7 +213,7 @@ def _cmd_sweep(args):
     from .sweep import run_sweep
 
     cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
-    if args.eps_list:
+    if args.eps_list is not None:
         cfg["sweep"]["eps_list"] = [float(tok) for tok in args.eps_list.split(",") if tok]
     sweep_config = build_objects(cfg)
     grid = sweep_config.grid

@@ -68,10 +68,15 @@ def s_quadrature(n_s: int):
 
 @dataclass
 class DirectorField:
-    """Grid of direction vectors, either on N or on N x s-layers."""
+    """Grid of direction vectors, either on N or on N x s-layers.
+
+    `on_target` records that the values are already projected onto the
+    target, so `minimize` starts from them as they are.
+    """
 
     values: np.ndarray
     layout: str  # "surface" | "thin"
+    on_target: bool = False
 
     def __post_init__(self):
         if self.layout == "surface":
@@ -90,14 +95,14 @@ class DirectorField:
         values = np.asarray(values, dtype=float)
         if target is not None:
             values = target.project(values)
-        return cls(values=values, layout="surface")
+        return cls(values=values, layout="surface", on_target=target is not None)
 
     @classmethod
     def thin(cls, values, target=None):
         values = np.asarray(values, dtype=float)
         if target is not None:
             values = target.project(values)
-        return cls(values=values, layout="thin")
+        return cls(values=values, layout="thin", on_target=target is not None)
 
     @property
     def n_s(self):
@@ -415,7 +420,10 @@ def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TE
 
 
 def recovery_field(grid, target, u0: np.ndarray, d0: np.ndarray, eps: float, n_s: int) -> DirectorField:
-    """Thin field pi_M(u0 + eps * s * d0); exact copy of u0 where eps*s*d0 = 0."""
+    """Thin field pi_M(u0 + eps * s * d0); exact copy of u0 where eps*s*d0 = 0.
+
+    u0 must lie on the target; the result is flagged `on_target`.
+    """
     grid.require_eps(eps)
     d0_max = float(np.max(np.sqrt(np.sum(d0 * d0, axis=-1)))) if d0.size else 0.0
     if eps * d0_max >= target.admissible_radius:
@@ -430,7 +438,7 @@ def recovery_field(grid, target, u0: np.ndarray, d0: np.ndarray, eps: float, n_s
             values[:, :, k, :] = u0
         else:
             values[:, :, k, :] = target.project(u0 + (eps * sk) * d0)
-    return DirectorField(values=values, layout="thin")
+    return DirectorField(values=values, layout="thin", on_target=True)
 
 
 def h1_distance(grid, thin_field: DirectorField, surface_field: DirectorField) -> float:

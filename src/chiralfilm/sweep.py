@@ -1,15 +1,16 @@
 """Film-thickness sweep driver checking dimension-reduction predictions.
 
 For a configured scenario the driver minimizes the surface limit energy once
-(keeping the lowest of its random restarts), builds recovery fields from the
-optimal corrector, starts each thickness's film minimization from its
-recovery field, and records minimum-energy gaps, recovery energies, H1
-distances to the limit minimizer, and the s-derivative energy share.  Pass/fail flags encode the expected
-trends: gaps non-increasing with the smallest at most 20% of the largest,
-recovery energies non-increasing, H1 distances non-increasing, s-shares
-decreasing.  The flag `all_converged` records whether the kept limit run and
-every successful thickness stopped at the gradient tolerance; it is reported
-beside the trends and does not enter `pass`.
+(keeping the lowest of its random restarts, and reporting how each ended),
+builds recovery fields from the optimal corrector, starts each thickness's
+film minimization from its recovery field, and records minimum-energy gaps,
+recovery energies, H1 distances to the limit minimizer, and the s-derivative
+energy share.  Pass/fail flags encode the expected trends: gaps
+non-increasing with the smallest at most 20% of the largest, recovery
+energies non-increasing, H1 distances non-increasing, s-shares decreasing.
+The flag `all_converged` records whether the kept limit run and every
+successful thickness stopped at the gradient tolerance; it is reported beside
+the trends and does not enter `pass`.
 
 Also houses the pointwise identity checks: the anisotropy density vanishes
 (to roundoff) for bulk/anisotropic/temperature perturbations with a sphere
@@ -93,6 +94,7 @@ class SweepReport:
     limit_energy: dict
     limit_iterations: int
     limit_termination: str
+    limit_restarts: list      # seed and MinimizeReport.as_dict() of every restart, kept or not
     entries: list
     identity_residual: float
     identity_scale: float
@@ -104,6 +106,7 @@ class SweepReport:
                 "energy": self.limit_energy,
                 "iterations": self.limit_iterations,
                 "termination": self.limit_termination,
+                "restarts": self.limit_restarts,
             },
             "per_eps": [asdict(e) for e in self.entries],
             "identity_check": {
@@ -158,9 +161,11 @@ def run_sweep(config: SweepConfig):
 
     limit_model = LimitEnergy(grid, target, pert, tensor=tensor)
     best = None
+    restarts = []
     for r in range(config.restarts):
         init = random_field(grid, target, "surface", seed=config.seed + r)
         u0_cand, rep_cand = minimize(limit_model, target, init, config.options)
+        restarts.append(dict(rep_cand.as_dict(), seed=config.seed + r))
         if best is None or rep_cand.energy.total < best[1].energy.total:
             best = (u0_cand, rep_cand)
     u0, limit_rep = best
@@ -201,6 +206,7 @@ def run_sweep(config: SweepConfig):
         limit_energy=limit_rep.energy.as_dict(),
         limit_iterations=limit_rep.iterations,
         limit_termination=limit_rep.termination,
+        limit_restarts=restarts,
         entries=entries,
         identity_residual=residual,
         identity_scale=scale,

@@ -21,6 +21,12 @@ def _norm(y, axis=-1, keepdims=True):
     return np.sqrt(np.sum(y * y, axis=axis, keepdims=keepdims))
 
 
+def tangent_part(n, v):
+    """v minus its component along the unit normals n."""
+    out = n * np.einsum("...k,...k->...", v, n)[..., None]
+    return np.subtract(v, out, out=out)
+
+
 class TargetManifold:
     """Interface for a closed constraint manifold in R^3.
 
@@ -46,8 +52,7 @@ class TargetManifold:
 
     def tangent_project(self, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Remove the component of g along the outward normal at sigma."""
-        n = self.normal(sigma)
-        return g - np.sum(g * n, axis=-1, keepdims=True) * n
+        return tangent_part(self.normal(sigma), g)
 
 
 class SphereTarget(TargetManifold):

@@ -268,6 +268,18 @@ def test_criterion_7_gamma_sweep(name):
           f"(gaps {', '.join(f'{g:.3e}' for g in gaps)}; smallest/largest = {gaps[-1] / gaps[0]:.3%} <= 20%)")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_minimizations_reach_gradient_tolerance(name):
+    """Every limit restart and every thickness of the preset converges (cached sweeps)."""
+    report = preset_sweep(name)
+    restarts = [r["termination"] for r in report.limit_restarts]
+    films = [e.termination for e in report.entries]
+    assert len(restarts) == preset_config(name)["sweep"]["restarts"]
+    assert set(restarts) == set(films) == {"gradient_tolerance"}, (restarts, films)
+    assert report.flags["all_converged"]
+
+
 def test_criterion_8_generalized_limit_reduction():
     """Generalized limit reduces to the plain limit and scales correctly."""
     grid = build_surface(SurfaceSpec("torus", 24, 24, major_radius=2.0, minor_radius=0.5))

@@ -294,10 +294,10 @@ def test_sweep_command_artifacts_and_determinism(tmp_path):
     assert main(["sweep", "--config", path, "--quiet"]) == 0
     assert (out_dir / "report.json").read_bytes() == report_bytes
 
-    # the flag stays out of `pass`: with a 100-iteration cap and these thicknesses
-    # every run stops on the cap, and the trends still pass
+    # the flag stays out of `pass`: with a 60-iteration cap and these thicknesses
+    # the limit run stops on the cap, and the trends still pass
     capped = tmp_path / "capped"
-    path = write_tiny_config(tmp_path, capped, {"minimizer": {"max_iterations": 100}})
+    path = write_tiny_config(tmp_path, capped, {"minimizer": {"max_iterations": 60}})
     assert main(["sweep", "--config", path, "--eps-list", "0.2,0.05", "--quiet"]) == 0
     flags = json.loads((capped / "report.json").read_text())["report"]["flags"]
     assert flags["pass"] is True and flags["all_converged"] is False
@@ -335,6 +335,15 @@ def test_sweep_eps_list_override(tmp_path):
     assert main(["sweep", "--config", path, "--eps-list", "0.2", "--quiet"]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert [e["eps"] for e in report["report"]["per_eps"]] == [0.2]
+
+
+def test_sweep_empty_eps_list_exits_1(tmp_path, capsys):
+    # an empty override reaches SweepConfig.validate instead of falling back to the config's list
+    path = write_tiny_config(tmp_path, tmp_path / "empty")
+    for override in ("", ","):
+        assert main(["sweep", "--config", path, "--eps-list", override, "--quiet"]) == 1, override
+        assert "eps list must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "empty" / "report.json").exists()
 
 
 def test_check_identities_command(tmp_path, capsys):

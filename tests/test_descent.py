@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chiralfilm.descent import MinimizeOptions, NumericalFailure, minimize, random_field
-from chiralfilm.energies import DirectorField, EnergyBreakdown, LimitEnergy, ThinFilmEnergy
+from chiralfilm.descent import (
+    SIGMA,
+    H1Preconditioner,
+    MinimizeOptions,
+    NumericalFailure,
+    minimize,
+    random_field,
+)
+from chiralfilm.energies import (
+    DirectorField,
+    EnergyBreakdown,
+    LimitEnergy,
+    ThinFilmEnergy,
+    s_quadrature,
+)
 from chiralfilm.perturbations import BulkDMI, ZeroPerturbation
-from chiralfilm.surfaces import SurfaceSpec, build_surface
+from chiralfilm.surfaces import SurfaceSpec, apply_difference, build_surface
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
 
 SPHERE = SphereTarget(1.0)
@@ -132,3 +147,93 @@ def test_random_field_needs_ns_for_thin(small_torus):
         random_field(small_torus, SPHERE, "thin")
     with pytest.raises(ValueError):
         random_field(small_torus, SPHERE, "volume")
+
+
+def test_minimize_reports_its_evaluation_counts(small_torus):
+    model = ThinFilmEnergy(small_torus, BulkDMI(1.0), 0.1, 6)
+    init = random_field(small_torus, SPHERE, "thin", n_s=6, seed=5)
+    _, report = minimize(model, SPHERE, init, MinimizeOptions(max_iterations=30))
+    assert report.iterations > 0
+    assert report.gradient_evaluations == report.iterations + 1
+    assert report.trials >= report.iterations
+    # one solve in the two-loop recursion, one for the scaling of each stored
+    # pair, and one more for each fallback to the preconditioned gradient
+    assert report.iterations <= report.preconditioner_solves <= 3 * report.iterations
+    summary = report.as_dict()
+    for key in ("iterations", "termination", "trials", "gradient_evaluations",
+                "preconditioner_solves"):
+        assert summary[key] == getattr(report, key)
+
+
+def test_flagged_start_is_not_projected_again(small_torus):
+    projections = []
+
+    class CountingSphere(SphereTarget):
+        def project(self, y):
+            projections.append(np.shape(y))
+            return super().project(y)
+
+    target = CountingSphere(1.0)
+    model = LimitEnergy(small_torus, target, BulkDMI(1.0))
+    start = random_field(small_torus, SPHERE, "surface", seed=2)
+    assert start.on_target
+    no_steps = MinimizeOptions(max_iterations=0)
+    field, _ = minimize(model, target, start, no_steps)
+    assert projections == []
+    assert field.on_target and field.values is start.values
+    unflagged = DirectorField(values=start.values, layout="surface")
+    minimize(model, target, unflagged, no_steps)
+    assert projections == [start.values.shape]
+    # the constructors flag exactly the fields they project
+    assert DirectorField.surface(start.values, SPHERE).on_target
+    assert not DirectorField.surface(start.values).on_target
+    thin = np.repeat(start.values[:, :, None, :], 4, axis=2)
+    assert DirectorField.thin(thin, SPHERE).on_target and not DirectorField.thin(thin).on_target
+
+
+def apply_h1_model(grid, x, eps=None, n_s=None):
+    """The preconditioner's operator, applied through the stencils and their adjoints."""
+    w = grid.area_weight
+    scale = 2.0
+    if eps is not None:
+        _, ws, diff_s = s_quadrature(n_s)
+        w = w[..., None] * ws
+        scale = 1.0
+    w = w[..., None]
+    out = SIGMA * w * x
+    for i in (0, 1):
+        out += grid.tangential_derivative_adjoint(w * grid.tangential_derivative(x, i), i)
+    if eps is not None:
+        out += apply_difference(diff_s.T, w * apply_difference(diff_s, x, 2), 2) / eps**2
+    return scale * out
+
+
+@st.composite
+def preconditioner_cases(draw):
+    kind = draw(st.sampled_from(("sphere", "torus", "cylinder", "flat_patch")))
+    n_u, n_v = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    extra = {}
+    if kind == "flat_patch":
+        extra = dict(periodic_u=draw(st.booleans()), periodic_v=draw(st.booleans()),
+                     lx=draw(st.floats(0.5, 2.0)), ly=draw(st.floats(0.5, 2.0)))
+    grid = build_surface(SurfaceSpec(kind, n_u, n_v, **extra))
+    eps = n_s = None
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.05, 1.0)) * grid.budget.eps_max
+        n_s = draw(st.integers(4, 8))
+    return grid, eps, n_s, draw(st.integers(0, 2**32 - 1))
+
+
+@given(preconditioner_cases())
+def test_preconditioner_is_spd_and_solve_inverts_it(case):
+    grid, eps, n_s, seed = case
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + ((n_s,) if n_s else ()) + (3,)
+    x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+    px, py = apply_h1_model(grid, x, eps, n_s), apply_h1_model(grid, y, eps, n_s)
+    xpx, ypy = np.vdot(x, px), np.vdot(y, py)
+    assert xpx > 0 and ypy > 0
+    assert abs(np.vdot(y, px) - np.vdot(x, py)) <= 1e-12 * np.sqrt(xpx * ypy)
+    solved = H1Preconditioner(grid, eps=eps, n_s=n_s).solve(px)
+    assert solved.shape == shape
+    assert np.linalg.norm(solved - x) <= 1e-10 * np.linalg.norm(x)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chiralfilm.descent import MinimizeOptions
+from chiralfilm.energies import ThinFilmEnergy
 from chiralfilm.perturbations import (
     AnisotropicDMI,
     BulkDMI,
@@ -209,3 +210,36 @@ def test_report_serializable_shape():
     assert {"limit", "per_eps", "identity_check", "flags"} <= set(payload)
     assert len(payload["per_eps"]) == 2
     assert payload["identity_check"]["max_residual"] <= 1e-14 * payload["identity_check"]["scale"]
+
+
+def test_film_start_reuses_the_recovery_forward_pass(monkeypatch):
+    # run_sweep evaluates each recovery field; minimize starts from that flagged
+    # field as it is, so its first gradient reuses the same forward pass
+    passes = []
+    evaluate = ThinFilmEnergy._evaluate
+
+    def counting(self, values):
+        passes.append(self.eps)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(ThinFilmEnergy, "_evaluate", counting)
+    config = SweepConfig(grid=small_band(12), target=SPHERE, pert=BulkDMI(1.0), eps_list=(0.2, 0.1),
+                         n_s=4, options=MinimizeOptions(max_iterations=0), seed=1)
+    report, _ = run_sweep(config)
+    assert passes == [0.2, 0.1]
+    assert all(e.recovery_energy == e.min_energy["total"] for e in report.entries)
+
+
+def test_report_lists_every_limit_restart():
+    config = SweepConfig(grid=small_band(12), target=SPHERE, pert=BulkDMI(1.0), eps_list=(0.2,),
+                         n_s=4, options=MinimizeOptions(max_iterations=25), restarts=3, seed=40)
+    report, artifacts = run_sweep(config)
+    restarts = report.as_dict()["limit"]["restarts"]
+    assert [r["seed"] for r in restarts] == [40, 41, 42]
+    for r in restarts:
+        assert set(r) >= {"seed", "iterations", "termination", "energy", "grad_norm", "trials",
+                          "gradient_evaluations", "preconditioner_solves"}
+    kept = min(restarts, key=lambda r: r["energy"]["total"])
+    assert kept["energy"] == report.limit_energy
+    assert kept["iterations"] == report.limit_iterations == artifacts["limit_trace"].iterations
+    assert kept["termination"] == report.limit_termination
