@@ -48,7 +48,7 @@ def _build_parser():
 
     p = add_parser("eval-energy", help="evaluate one energy form on a stored field")
     p.add_argument("--config", required=True)
-    p.add_argument("--form", required=True, choices=["thin", "limit", "general"])
+    p.add_argument("--form", required=True, choices=["thin", "limit"])
     p.add_argument("--field", required=True, help="field CSV path")
     p.add_argument("--eps", type=float, default=None, help="film half-thickness (thin form)")
     p.add_argument("--output-dir", default=None)
@@ -91,14 +91,21 @@ def _emit(args, payload):
     print(dumps_canonical(payload))
 
 
-def _load(args, overrides=None):
-    from .config import load_config
+def _load(args, seed=None, eps_list=None):
+    """The resolved config, with the command-line overrides applied to the raw
+    document first so that they pass the same schema as the file."""
+    from .config import read_config, resolve_config
 
-    cfg = load_config(args.config)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    raw = read_config(args.config)
+    if args.output_dir is not None:
+        raw["output_dir"] = args.output_dir
+    if seed is not None:
+        raw["seed"] = seed
+    if eps_list is not None:
+        sweep = raw.setdefault("sweep", {})
+        if isinstance(sweep, dict):  # anything else fails the schema below
+            sweep["eps_list"] = [float(tok) for tok in eps_list.split(",") if tok]
+    return resolve_config(raw)
 
 
 def _check_eps(args):
@@ -134,7 +141,7 @@ def _cmd_describe_surface(args):
     from .config import build_objects
     from .reporting import frame_table_csv, write_json, write_text
 
-    cfg = _load(args, {"output_dir": args.output_dir})
+    cfg = _load(args)
     grid = build_objects(cfg).grid
     out = cfg["output_dir"]
     write_text(frame_table_csv(grid), os.path.join(out, "frames.csv"))
@@ -155,19 +162,17 @@ def _cmd_describe_surface(args):
 
 def _cmd_eval_energy(args):
     from .config import build_objects
-    from .energies import limit_energy, limit_energy_general, thin_film_energy
+    from .energies import limit_energy, thin_film_energy
     from .reporting import read_field_csv
 
     _check_eps(args)
-    cfg = _load(args, {"output_dir": args.output_dir})
+    cfg = _load(args)
     run = build_objects(cfg)
     field = read_field_csv(run.grid, args.field)
     if args.form == "thin":
         bd = thin_film_energy(run.grid, run.pert, args.eps, field, tensor=run.tensor)
-    elif args.form == "limit":
-        bd = limit_energy(run.grid, run.target, run.pert, field)
     else:
-        bd = limit_energy_general(run.grid, run.target, run.pert, run.tensor, field)
+        bd = limit_energy(run.grid, run.target, run.pert, field, tensor=run.tensor)
     _echo_config(cfg, cfg["output_dir"])
     _emit(args, bd.as_dict())
     return 0
@@ -181,7 +186,7 @@ def _cmd_minimize(args):
     from .reporting import trace_csv, write_field_csv, write_json, write_text
 
     _check_eps(args)
-    cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
+    cfg = _load(args, seed=args.seed)
     run = build_objects(cfg)
     if args.form == "thin":
         model = ThinFilmEnergy(run.grid, run.pert, args.eps, run.n_s, tensor=run.tensor)
@@ -212,9 +217,7 @@ def _cmd_sweep(args):
     from .reporting import sweep_csv, trace_csv, write_field_csv, write_json, write_text
     from .sweep import run_sweep
 
-    cfg = _load(args, {"output_dir": args.output_dir, "seed": args.seed})
-    if args.eps_list is not None:
-        cfg["sweep"]["eps_list"] = [float(tok) for tok in args.eps_list.split(",") if tok]
+    cfg = _load(args, seed=args.seed, eps_list=args.eps_list)
     sweep_config = build_objects(cfg)
     grid = sweep_config.grid
     report, artifacts = run_sweep(sweep_config)
@@ -253,7 +256,7 @@ def _cmd_check_identities(args):
     from .reporting import write_json
     from .sweep import check_vanishing_identity, identity_is_predicted_vanishing
 
-    cfg = _load(args, {"output_dir": args.output_dir})
+    cfg = _load(args)
     run = build_objects(cfg)
     residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
                                                samples=args.samples, seed=run.seed)

@@ -252,13 +252,20 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path: str) -> dict:
+def read_config(path: str) -> dict:
+    """The raw, unresolved JSON document at `path`."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return resolve_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config invalid at <root>: {path} does not hold a JSON object")
+    return raw
+
+
+def load_config(path: str) -> dict:
+    return resolve_config(read_config(path))
 
 
 def _arguments(section: dict) -> dict:

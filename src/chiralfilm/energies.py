@@ -11,8 +11,10 @@ Three functionals are assembled on a fixed surface grid:
 * its limit on the surface,
       sum_i int |a d_{tau_i} u + K(u) tau_i|^2
     + int ((a^-1 K(u) n_N . n_M(u)) / (a^-1 n_M(u) . n_M(u)))^2,
-  whose second term is the curvature-induced shape anisotropy (with the
-  identity tensor it reduces exactly to (K(u) n_N . n_M(u))^2);
+  whose second term is the curvature-induced shape anisotropy.  The tensor a
+  is scalar and n_M(u) a unit normal, so a cancels from that quotient, which
+  is (K(u) n_N . n_M(u))^2 for every tensor; a enters only as the
+  coefficient of the derivatives, all ones for the identity tensor;
 
 * an independent volume quadrature of the ambient chiral Dirichlet energy
   used to cross-check the pull-back: the 3D field Jacobian is recovered
@@ -198,6 +200,15 @@ class _ForwardMemo:
         return evaluate(values)
 
 
+def _thin_derivatives(grid, diff_s, values):
+    """(d_{tau_1} u, d_{tau_2} u, d_s u) of a field on N x s-layers."""
+    return [
+        grid.tangential_derivative(values, 0),
+        grid.tangential_derivative(values, 1),
+        apply_difference(diff_s, values, 2),
+    ]
+
+
 class LimitEnergy:
     """Surface limit functional bound to (grid, target, perturbation, tensor)."""
 
@@ -207,9 +218,8 @@ class LimitEnergy:
         self.grid = grid
         self.target = target
         self.pert = pert
-        self.tensor = tensor
         self.weight = grid.area_weight
-        self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)
+        self.a = tensor.values_on(grid)[..., None]
         self.kframe = KFrame(grid, pert)
         self._memo = _ForwardMemo()
 
@@ -220,39 +230,25 @@ class LimitEnergy:
     def _evaluate(self, values):
         """Breakdown plus the forward pass the gradient reuses.
 
-        Returns (breakdown, r, n_m, (rho, num, den)): r[m] is the
-        tangential residual a d_{tau_m} u + K(u) tau_m for m = 0, 1 and
-        K(u) n_N for m = 2; rho = num / den is the anisotropy factor, with
-        den = None for the identity tensor.
+        Returns (breakdown, r, n_m, rho): r[m] is the tangential residual
+        a d_{tau_m} u + K(u) tau_m for m = 0, 1 and K(u) n_N for m = 2;
+        rho = K(u) n_N . n_M(u) is the anisotropy factor.
         """
         self._check(values)
         grid = self.grid
         r = self.kframe.images(values)
         for m in (0, 1):
-            d = grid.tangential_derivative(values, m)
-            if self.a is not None:
-                d *= self.a[..., None]
-            r[m] += d
-        kn = r[2]
+            r[m] += self.a * grid.tangential_derivative(values, m)
         n_m = self.target.normal(values)
-        if self.a is None:
-            rho = num = np.sum(kn * n_m, axis=-1)
-            den = None
-        else:
-            num = np.sum(kn * n_m, axis=-1) / self.a
-            den = np.sum(n_m * n_m, axis=-1) / self.a
-            rho = num / den
+        rho = np.sum(r[2] * n_m, axis=-1)
         w = self.weight
         tangential = (np.einsum("uvk,uvk,uv->", r[0], r[0], w)
                       + np.einsum("uvk,uvk,uv->", r[1], r[1], w))
         bd = EnergyBreakdown.of(tangential, np.einsum("uv,uv,uv->", rho, rho, w))
-        return bd, r, n_m, (rho, num, den)
+        return bd, r, n_m, rho
 
     def breakdown(self, values) -> EnergyBreakdown:
         return self._memo.forward(self._evaluate, values)[0]
-
-    def total(self, values) -> float:
-        return self.breakdown(values).total
 
     def gradient(self, values) -> np.ndarray:
         return self.breakdown_and_gradient(values)[1]
@@ -260,29 +256,21 @@ class LimitEnergy:
     def breakdown_and_gradient(self, values):
         """Breakdown and gradient; reuses the forward pass of a preceding
         `breakdown` call on bit-identical values."""
-        bd, r, n_m, (rho, num, den) = self._memo.take(self._evaluate, values)
+        bd, r, n_m, rho = self._memo.take(self._evaluate, values)
         grid, w = self.grid, self.weight
         kn = r[2]
         y = 2.0 * w[..., None] * r
         y[2] = n_m
         coupled = self.kframe.couplings(values, y)
-        if self.a is not None:
-            y[:2] *= self.a[..., None]
+        y[:2] *= self.a
         grad = grid.tangential_derivative_adjoint(y[0], 0)
         grad += grid.tangential_derivative_adjoint(y[1], 1)
         grad += coupled[0]
         grad += coupled[1]
         # d(rho^2) through K (coupled[2] = n_M . dK n_N) and through n_M
-        if den is None:
-            coeff = 2.0 * w * rho
-            grad += coeff[..., None] * coupled[2]
-            grad += coeff[..., None] * self.target.normal_pullback(values, kn)
-        else:
-            a1 = self.a[..., None]
-            vec_num = self.target.normal_pullback(values, kn) / a1 + coupled[2] / a1
-            vec_den = 2.0 * self.target.normal_pullback(values, n_m) / a1
-            coeff = 2.0 * w * rho / (den * den)
-            grad += coeff[..., None] * (vec_num * den[..., None] - num[..., None] * vec_den)
+        coeff = 2.0 * w * rho
+        grad += coeff[..., None] * coupled[2]
+        grad += coeff[..., None] * self.target.normal_pullback(values, kn)
         return bd, grad
 
 
@@ -296,16 +284,15 @@ class ThinFilmEnergy:
         self.grid = grid
         self.pert = pert
         self.eps = float(eps)
-        self.tensor = tensor
         self.s, self.s_weights, self.diff_s = s_quadrature(n_s)
         self.n_s = n_s
         es = eps * self.s[None, None, :]
         f1 = 1.0 + es * grid.kappa1[..., None]
         f2 = 1.0 + es * grid.kappa2[..., None]
-        self.h1 = 1.0 / f1
-        self.h2 = 1.0 / f2
         self.weight = grid.area_weight[..., None] * self.s_weights[None, None, :] * (f1 * f2)
-        self.a = None if self.tensor.is_identity else self.tensor.values_on(grid)[:, :, None]
+        # row coefficients: multipliers a h_1 and a h_2, and the divisor eps / a of the s-row
+        a = tensor.values_on(grid)[:, :, None]
+        self._row_scale = ((a / f1)[..., None], (a / f2)[..., None], (self.eps / a)[..., None])
         self.kframe = KFrame(grid, pert, s_axis=True)
         self._memo = _ForwardMemo()
 
@@ -316,23 +303,16 @@ class ThinFilmEnergy:
 
     def _scale(self, rows):
         """Multiply the three residual rows in place by a h_1, a h_2 and a / eps."""
-        rows[0] *= self.h1[..., None]
-        rows[1] *= self.h2[..., None]
-        rows[2] /= self.eps
-        if self.a is not None:
-            for row in rows:
-                row *= self.a[..., None]
+        c1, c2, c3 = self._row_scale
+        rows[0] *= c1
+        rows[1] *= c2
+        rows[2] /= c3
 
     def _evaluate(self, values):
         """Breakdown plus the residuals r[m] = a h_m D_m u + K(u) f_m for
         D = (d_{tau_1}, d_{tau_2}, d_s), f = (tau_1, tau_2, n_N), h_s = 1/eps."""
         self._check(values)
-        grid = self.grid
-        derivs = [
-            grid.tangential_derivative(values, 0),
-            grid.tangential_derivative(values, 1),
-            apply_difference(self.diff_s, values, 2),
-        ]
+        derivs = _thin_derivatives(self.grid, self.diff_s, values)
         self._scale(derivs)
         r = self.kframe.images(values)
         for m, d in enumerate(derivs):
@@ -343,17 +323,11 @@ class ThinFilmEnergy:
     def breakdown(self, values) -> EnergyBreakdown:
         return self._memo.forward(self._evaluate, values)[0]
 
-    def total(self, values) -> float:
-        return self.breakdown(values).total
-
     def seminorm_shares(self, values):
         """(tangential, s) squared H^1 seminorms of the raw field on N x I."""
         self._check(values)
-        grid = self.grid
-        d1 = grid.tangential_derivative(values, 0)
-        d2 = grid.tangential_derivative(values, 1)
-        dsv = apply_difference(self.diff_s, values, 2)
-        w = grid.area_weight[..., None] * self.s_weights[None, None, :]
+        d1, d2, dsv = _thin_derivatives(self.grid, self.diff_s, values)
+        w = self.grid.area_weight[..., None] * self.s_weights[None, None, :]
         tang = float(np.sum(w * (np.sum(d1 * d1, axis=-1) + np.sum(d2 * d2, axis=-1))))
         sder = float(np.sum(w * np.sum(dsv * dsv, axis=-1)))
         return tang, sder
@@ -382,26 +356,10 @@ def thin_film_energy(grid, pert, eps, field: DirectorField, tensor=IDENTITY_TENS
     return model.breakdown(field.values)
 
 
-def limit_energy(grid, target, pert, field: DirectorField) -> EnergyBreakdown:
-    if field.layout != "surface":
-        raise EnergyError("limit energy needs a surface field")
-    return LimitEnergy(grid, target, pert).breakdown(field.values)
-
-
-def limit_energy_general(grid, target, pert, tensor, field: DirectorField) -> EnergyBreakdown:
+def limit_energy(grid, target, pert, field: DirectorField, tensor=IDENTITY_TENSOR) -> EnergyBreakdown:
     if field.layout != "surface":
         raise EnergyError("limit energy needs a surface field")
     return LimitEnergy(grid, target, pert, tensor=tensor).breakdown(field.values)
-
-
-def energy_gradient(grid, target, pert, field: DirectorField, eps=None,
-                    tensor=IDENTITY_TENSOR) -> np.ndarray:
-    """Euclidean gradient of the matching energy form w.r.t. node values."""
-    if field.layout == "thin":
-        if eps is None:
-            raise EnergyError("thin gradient needs eps")
-        return ThinFilmEnergy(grid, pert, eps, field.n_s, tensor=tensor).gradient(field.values)
-    return LimitEnergy(grid, target, pert, tensor=tensor).gradient(field.values)
 
 
 def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TENSOR) -> np.ndarray:
@@ -414,9 +372,7 @@ def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TE
     kn = frame_images(pert.kmatrix(ctx, values), ctx)[..., 2, :]
     n_m = target.normal(values)
     d0 = np.sum(kn * n_m, axis=-1, keepdims=True) * n_m - kn
-    if not tensor.is_identity:
-        d0 = d0 / tensor.values_on(grid)[..., None]
-    return d0
+    return d0 / tensor.values_on(grid)[..., None]
 
 
 def recovery_field(grid, target, u0: np.ndarray, d0: np.ndarray, eps: float, n_s: int) -> DirectorField:
@@ -450,9 +406,7 @@ def h1_distance(grid, thin_field: DirectorField, surface_field: DirectorField) -
         raise EnergyError("field grids do not match")
     diff = thin_field.values - surface_field.values[:, :, None, :]
     _, s_weights, diff_s = s_quadrature(thin_field.n_s)
-    d1 = grid.tangential_derivative(diff, 0)
-    d2 = grid.tangential_derivative(diff, 1)
-    dsd = apply_difference(diff_s, diff, 2)
+    d1, d2, dsd = _thin_derivatives(grid, diff_s, diff)
     w = grid.area_weight[..., None] * s_weights[None, None, :]
     dens = (
         np.sum(diff * diff, axis=-1)

@@ -223,12 +223,8 @@ class EllipticTensor:
         self.kind = kind
         self.field = field
 
-    @property
-    def is_identity(self):
-        return self.kind == "identity"
-
     def values_on(self, grid: SurfaceGrid) -> np.ndarray:
-        if self.is_identity:
+        if self.kind == "identity":
             return np.ones(grid.shape)
         values = self.field.evaluate(grid.points)
         if np.min(values) <= 0.0:

@@ -255,6 +255,8 @@ def planar_interfacial_crosscheck(grid: SurfaceGrid, kappa: float = 1.0, fields:
     """
     if grid.spec.kind != "flat_patch":
         raise SweepError("planar cross-check requires a flat patch")
+    if fields < 1:
+        raise SweepError("planar cross-check needs at least 1 field")
     target = SphereTarget(1.0)
     pert = InterfacialDMI(kappa)
     model = LimitEnergy(grid, target, pert)

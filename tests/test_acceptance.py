@@ -20,7 +20,6 @@ from chiralfilm.energies import (
     ThinFilmEnergy,
     direct_tubular_energy,
     limit_energy,
-    limit_energy_general,
     thin_film_energy,
 )
 from chiralfilm.perturbations import (
@@ -292,10 +291,10 @@ def test_criterion_8_generalized_limit_reduction():
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=80 + seed)
         plain = limit_energy(grid, ellipsoid, pert, f)
-        ident = limit_energy_general(grid, ellipsoid, pert, EllipticTensor("identity"), f)
+        ident = limit_energy(grid, ellipsoid, pert, f, tensor=EllipticTensor("identity"))
         assert plain.total == ident.total  # definitional reduction, bit-exact
         const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-        near = limit_energy_general(grid, ellipsoid, pert, const1, f)
+        near = limit_energy(grid, ellipsoid, pert, f, tensor=const1)
         worst_ident = max(worst_ident, abs(near.total - plain.total) / max(plain.total, 1.0))
         assert worst_ident <= 1e-12
 
@@ -306,7 +305,7 @@ def test_criterion_8_generalized_limit_reduction():
     worst_temp = 0.0
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=90 + seed)
-        lhs = limit_energy_general(grid, ellipsoid, temp, tensor, f)
+        lhs = limit_energy(grid, ellipsoid, temp, f, tensor=tensor)
         rhs = limit_energy(grid, ellipsoid, scaled, f)
         rel = abs(lhs.total - c**2 * rhs.total) / max(abs(lhs.total), 1.0)
         worst_temp = max(worst_temp, rel)

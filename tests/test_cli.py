@@ -1,11 +1,12 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chiralfilm import __version__
-from chiralfilm.cli import main
+from chiralfilm.cli import _build_parser, main
 from chiralfilm.config import (
     ConfigError,
     build_objects,
@@ -231,7 +232,7 @@ def test_eval_energy_thin_requires_eps(tmp_path, capsys):
                  "--field", str(thin_path), "--quiet"]) == 1
 
 
-@pytest.mark.parametrize("form", ["limit", "general"])
+@pytest.mark.parametrize("form", ["limit"])
 def test_eval_energy_rejects_eps_without_thin_form(tmp_path, capsys, form):
     out_dir = tmp_path / "evaleps"
     path = write_tiny_config(tmp_path, out_dir)
@@ -243,6 +244,23 @@ def test_eval_energy_rejects_eps_without_thin_form(tmp_path, capsys, form):
                  "--field", str(field_path), "--json"]) == 1
     assert "--eps applies only to the thin form" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_eval_energy_limit_uses_configured_tensor(tmp_path, capsys):
+    # one limit form: on a scalar-tensor config, eval-energy --form limit reports
+    # the energy minimize --form limit reached
+    cfg = preset_config("temperature")
+    cfg["surface"].update(n_u=16, n_v=16)
+    cfg["minimizer"]["max_iterations"] = 200
+    cfg["output_dir"] = str(tmp_path / "temp")
+    path = tmp_path / "temperature.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["minimize", "--config", str(path), "--form", "limit", "--quiet"]) == 0
+    summary = json.loads((tmp_path / "temp" / "minimize.json").read_text())
+    field_path = str(tmp_path / "temp" / "minimizer.csv")
+    assert main(["eval-energy", "--config", str(path), "--form", "limit",
+                 "--field", field_path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == summary["energy"]
 
 
 def test_minimize_rejects_eps_without_thin_form(tmp_path, capsys):
@@ -338,12 +356,24 @@ def test_sweep_eps_list_override(tmp_path):
 
 
 def test_sweep_empty_eps_list_exits_1(tmp_path, capsys):
-    # an empty override reaches SweepConfig.validate instead of falling back to the config's list
+    # an empty override fails the schema instead of falling back to the config's list
     path = write_tiny_config(tmp_path, tmp_path / "empty")
     for override in ("", ","):
         assert main(["sweep", "--config", path, "--eps-list", override, "--quiet"]) == 1, override
-        assert "eps list must not be empty" in capsys.readouterr().err
+        assert "config invalid at sweep/eps_list" in capsys.readouterr().err
     assert not (tmp_path / "empty" / "report.json").exists()
+
+
+def test_command_line_overrides_pass_the_schema(tmp_path, capsys, monkeypatch):
+    # an override is checked like the same key in the file: nothing is written
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "out"
+    path = write_tiny_config(tmp_path, out_dir)
+    for argv, key in ((["minimize", "--config", path, "--output-dir", ""], "output_dir"),
+                      (["sweep", "--config", path, "--seed", "-1"], "seed")):
+        assert main(argv + ["--quiet"]) == 1, argv
+        assert f"config invalid at {key}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_check_identities_command(tmp_path, capsys):
@@ -364,6 +394,11 @@ def test_crosscheck_planar_command(capsys):
     assert main(["crosscheck-planar", "--resolution", "16", "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
     assert got["max_relative_discrepancy"] <= 1e-10
+    # no field compared is no evidence, not a pass
+    assert main(["crosscheck-planar", "--resolution", "16", "--fields", "0", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1 field" in captured.err
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -372,13 +407,16 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--quiet"]) == 1
     path.write_text("{not json")
     assert main(["sweep", "--config", str(path), "--quiet"]) == 1
+    path.write_text("[]")  # not an object, so an override has nowhere to go
+    assert main(["sweep", "--config", str(path), "--seed", "1", "--quiet"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json"), "--quiet"]) == 1
 
 
 def test_usage_errors_exit_1(capsys):
     # 2 means numerical failure; a malformed command line is a usage error
     for argv in ([], ["sweep"], ["no-such-command"], ["preset", "nope"],
-                 ["sweep", "--config", "c.json", "--bogus"]):
+                 ["sweep", "--config", "c.json", "--bogus"],
+                 ["eval-energy", "--config", "c.json", "--form", "general", "--field", "f.csv"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
@@ -387,6 +425,20 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert exc.value.code == 0, argv
     capsys.readouterr()
+
+
+def _actions(parser, dest):
+    return [action for action in parser._actions if action.dest == dest]
+
+
+def test_readme_names_every_command_and_form():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = _actions(_build_parser(), "command")
+    missing = [name for name in commands.choices if f"chiralfilm {name}" not in readme]
+    missing += [f"{name} --form {choice}" for name, sub in commands.choices.items()
+                for form in _actions(sub, "form") for choice in form.choices
+                if f"--form {choice}" not in readme]
+    assert missing == []
 
 
 def test_canonical_json_formatting():

@@ -10,10 +10,8 @@ from chiralfilm.energies import (
     LimitEnergy,
     ThinFilmEnergy,
     direct_tubular_energy,
-    energy_gradient,
     h1_distance,
     limit_energy,
-    limit_energy_general,
     optimal_corrector,
     recovery_field,
     s_quadrature,
@@ -291,20 +289,27 @@ def test_limit_general_reductions(small_torus, rng):
     pert = BulkDMI(0.9)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=10)
     plain = limit_energy(small_torus, ELLIPSOID, pert, f)
-    ident = limit_energy_general(small_torus, ELLIPSOID, pert, EllipticTensor("identity"), f)
+    ident = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=EllipticTensor("identity"))
     assert plain.tangential == ident.tangential
     assert plain.normal_or_anisotropy == ident.normal_or_anisotropy
 
     const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-    near = limit_energy_general(small_torus, ELLIPSOID, pert, const1, f)
+    near = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=const1)
     assert near.total == pytest.approx(plain.total, rel=1e-12)
+
+    # a scalar tensor cancels from the anisotropy quotient, so a non-constant
+    # one leaves that term exactly at its identity-tensor value
+    affine = EllipticTensor("scalar_field", ScalarSurfaceField("affine", c0=1.5, c=(0.2, -0.1, 0.3)))
+    varied = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=affine)
+    assert varied.normal_or_anisotropy == ident.normal_or_anisotropy
+    assert varied.tangential != ident.tangential
 
 
 def test_limit_general_doubling_scales_dirichlet(small_torus):
     f = random_field(small_torus, SPHERE, "surface", seed=14)
     two = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=2.0))
     plain = limit_energy(small_torus, SPHERE, ZeroPerturbation(), f)
-    doubled = limit_energy_general(small_torus, SPHERE, ZeroPerturbation(), two, f)
+    doubled = limit_energy(small_torus, SPHERE, ZeroPerturbation(), f, tensor=two)
     assert doubled.tangential == pytest.approx(4.0 * plain.tangential, rel=1e-12)
     assert doubled.normal_or_anisotropy == 0.0
 
@@ -321,7 +326,7 @@ def test_temperature_constant_saturation_scaling(small_torus, rng):
     aniso = AnisotropicDMI(coupling / c)
 
     f = random_field(small_torus, ELLIPSOID, "surface", seed=15)
-    lhs = limit_energy_general(small_torus, ELLIPSOID, temp, tensor, f)
+    lhs = limit_energy(small_torus, ELLIPSOID, temp, f, tensor=tensor)
     rhs = limit_energy(small_torus, ELLIPSOID, aniso, f)
     assert lhs.tangential == pytest.approx(c**2 * rhs.tangential, rel=1e-10)
     assert lhs.normal_or_anisotropy == pytest.approx(c**2 * rhs.normal_or_anisotropy, rel=1e-10)
@@ -398,7 +403,7 @@ def test_gradient_constant_field_zero_perturbation(small_torus):
     const = DirectorField.surface(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (3,)).copy()
     )
-    grad = energy_gradient(small_torus, SPHERE, ZeroPerturbation(), const)
+    grad = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).gradient(const.values)
     assert np.max(np.abs(grad)) < 1e-14
 
 
@@ -527,7 +532,7 @@ def test_layout_and_shape_validation(small_torus):
     with pytest.raises(EnergyError):
         limit_energy(small_torus, SPHERE, BulkDMI(1.0), thin)
     with pytest.raises(EnergyError):
-        energy_gradient(small_torus, SPHERE, BulkDMI(1.0), thin)  # missing eps
+        LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).gradient(thin.values)
     wrong = DirectorField(values=np.zeros((4, 4, 3)), layout="surface")
     with pytest.raises(EnergyError):
         limit_energy(small_torus, SPHERE, BulkDMI(1.0), wrong)
