@@ -93,7 +93,7 @@ def _emit(args, payload):
 
 def _load(args, seed=None, eps_list=None):
     """The resolved config, with the command-line overrides applied to the raw
-    document first so that they pass the same schema as the file."""
+    document first so that they pass the same checks as the file."""
     from .config import read_config, resolve_config
 
     raw = read_config(args.config)
@@ -103,7 +103,7 @@ def _load(args, seed=None, eps_list=None):
         raw["seed"] = seed
     if eps_list is not None:
         sweep = raw.setdefault("sweep", {})
-        if isinstance(sweep, dict):  # anything else fails the schema below
+        if isinstance(sweep, dict):  # anything else fails resolve_config below
             sweep["eps_list"] = [float(tok) for tok in eps_list.split(",") if tok]
     return resolve_config(raw)
 

@@ -1,9 +1,11 @@
-"""Run configuration: schema validation, defaults, and object construction.
+"""Run configuration: validation, defaults, and object construction.
 
-A run is described by a single JSON document.  Validation rejects unknown
-keys; resolution materializes every default so the echoed config is
-self-contained and re-resolving an echoed config is the identity.  Each
-default is read from the library class the parameter is passed to.
+A run is described by a single JSON document, and two tables describe the
+document once.  `_KINDS` names each section's kinds, the class a kind builds
+and its parameters, whose defaults are read from that class; `_VALUES` holds
+the rule each key's value meets.  Resolution rejects unknown keys and
+materializes every default, so the echoed config is self-contained and
+re-resolving an echoed config is the identity.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import copy
 import inspect
 import json
-
-import jsonschema
+import sys
+from typing import NamedTuple
 
 from .descent import MinimizeOptions
 from .perturbations import (
@@ -22,15 +24,15 @@ from .perturbations import (
     InterfacialDMI,
     ScalarSurfaceField,
     TemperatureDMI,
-    make_perturbation,
+    ZeroPerturbation,
 )
 from .surfaces import SurfaceSpec, build_surface
 from .sweep import DEFAULT_EPS_LIST, SweepConfig
-from .targets import EllipsoidTarget, SphereTarget, make_target
+from .targets import EllipsoidTarget, SphereTarget
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (schema path and message)."""
+    """Invalid run configuration (path and message)."""
 
 
 _REQUIRED = object()  # marks a parameter without a default
@@ -43,141 +45,99 @@ def _params(factory, *names):
             for n in names}
 
 
+class _Kind(NamedTuple):
+    cls: type     # the class a section of this kind builds
+    params: dict  # its parameters and their defaults
+
+
+def _kind(cls, *names):
+    return _Kind(cls, _params(cls, *names))
+
+
 _GRID = ("n_u", "n_v")
 _SCALAR_FIELD_PARAMS = ("saturation", "field")  # parameters that hold a scalar-field section
 _SCALAR_FIELD_KINDS = {
-    kind: _params(ScalarSurfaceField, "c0", "c", "c1") for kind in ("constant", "affine", "banded")
+    kind: _kind(ScalarSurfaceField, "c0", "c", "c1") for kind in ("constant", "affine", "banded")
 }
-# Per section, each kind's parameters and their defaults.
+# Per section, each kind's class, parameters and their defaults.
 _KINDS = {
     "surface": {
-        "sphere": _params(SurfaceSpec, *_GRID, "radius", "theta_cap"),
-        "torus": _params(SurfaceSpec, *_GRID, "major_radius", "minor_radius"),
-        "cylinder": _params(SurfaceSpec, *_GRID, "radius", "height"),
-        "flat_patch": _params(SurfaceSpec, *_GRID, "lx", "ly", "periodic_u", "periodic_v",
-                              "flat_eps_max"),
+        "sphere": _kind(SurfaceSpec, *_GRID, "radius", "theta_cap"),
+        "torus": _kind(SurfaceSpec, *_GRID, "major_radius", "minor_radius"),
+        "cylinder": _kind(SurfaceSpec, *_GRID, "radius", "height"),
+        "flat_patch": _kind(SurfaceSpec, *_GRID, "lx", "ly", "periodic_u", "periodic_v",
+                            "flat_eps_max"),
     },
     "target": {
-        "sphere": _params(SphereTarget, "radius"),
-        "ellipsoid": _params(EllipsoidTarget, "semi_axes"),
+        "sphere": _kind(SphereTarget, "radius"),
+        "ellipsoid": _kind(EllipsoidTarget, "semi_axes"),
     },
     "perturbation": {
-        "zero": {},
-        "bulk_dmi": _params(BulkDMI, "kappa"),
-        "interfacial_dmi": _params(InterfacialDMI, "kappa"),
-        "anisotropic_dmi": _params(AnisotropicDMI, "coupling"),
-        "temperature": _params(TemperatureDMI, "saturation", "coupling"),
+        "zero": _kind(ZeroPerturbation),
+        "bulk_dmi": _kind(BulkDMI, "kappa"),
+        "interfacial_dmi": _kind(InterfacialDMI, "kappa"),
+        "anisotropic_dmi": _kind(AnisotropicDMI, "coupling"),
+        "temperature": _kind(TemperatureDMI, "saturation", "coupling"),
     },
-    "tensor": {"identity": {}, "scalar_field": {"field": _REQUIRED}},
-}
-
-_SCALAR_FIELD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_SCALAR_FIELD_KINDS)},
-        "c0": {"type": "number"},
-        "c": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-        "c1": {"type": "number"},
+    "tensor": {
+        "identity": _kind(EllipticTensor),
+        "scalar_field": _Kind(EllipticTensor, {"field": _REQUIRED}),
     },
 }
+# The sections without a kind, with their keys and defaults, and the root's own keys.
+_SETTINGS = {
+    "minimizer": _params(MinimizeOptions, "max_iterations", "grad_tol"),
+    "sweep": _params(SweepConfig, "eps_list", "n_s", "restarts"),
+}
+_ROOT = {"seed": SweepConfig.seed, "output_dir": "chiralfilm-run"}
 
-_MATRIX_SCHEMA = {
-    "type": "array",
-    "minItems": 3,
-    "maxItems": 3,
-    "items": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
+
+def _number(value) -> bool:
+    """A JSON number that is a finite double; a boolean is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0
+
+
+def _integer(least: int):
+    """An integer of at least `least`; an integral float such as 4.0 counts."""
+    return (f"an integer >= {least}",
+            lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                       or isinstance(v, float) and v.is_integer()) and v >= least)
+
+
+def _array(item, length=None):
+    """A list of `length` values (of at least one when None), each passing `item`."""
+    return lambda v: (isinstance(v, list) and (len(v) == length if length else len(v) > 0)
+                      and all(item(x) for x in v))
+
+
+# The rule each key's value meets; `kind` and the scalar-field sections are
+# checked by _resolve_kind.
+_VALUES = {
+    **dict.fromkeys(("n_u", "n_v", "n_s"), _integer(4)),
+    **dict.fromkeys(("radius", "theta_cap", "major_radius", "minor_radius", "height", "lx", "ly",
+                     "flat_eps_max", "grad_tol"), ("a positive finite number", _positive)),
+    **dict.fromkeys(("periodic_u", "periodic_v"), ("a boolean", lambda v: isinstance(v, bool))),
+    **dict.fromkeys(("kappa", "c0", "c1"), ("a finite number", _number)),
+    "c": ("3 finite numbers", _array(_number, 3)),
+    "semi_axes": ("3 positive finite numbers", _array(_positive, 3)),
+    "coupling": ("a 3x3 matrix of finite numbers", _array(_array(_number, 3), 3)),
+    "eps_list": ("a non-empty list of positive finite numbers", _array(_positive)),
+    "max_iterations": _integer(0),
+    "restarts": _integer(1),
+    "seed": _integer(0),
+    "output_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["surface", "target", "perturbation"],
-    "properties": {
-        "surface": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(_KINDS["surface"])},
-                "n_u": {"type": "integer", "minimum": 4},
-                "n_v": {"type": "integer", "minimum": 4},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "theta_cap": {"type": "number", "exclusiveMinimum": 0},
-                "major_radius": {"type": "number", "exclusiveMinimum": 0},
-                "minor_radius": {"type": "number", "exclusiveMinimum": 0},
-                "height": {"type": "number", "exclusiveMinimum": 0},
-                "lx": {"type": "number", "exclusiveMinimum": 0},
-                "ly": {"type": "number", "exclusiveMinimum": 0},
-                "periodic_u": {"type": "boolean"},
-                "periodic_v": {"type": "boolean"},
-                "flat_eps_max": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "target": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(_KINDS["target"])},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "semi_axes": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "perturbation": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(_KINDS["perturbation"])},
-                "kappa": {"type": "number"},
-                "coupling": _MATRIX_SCHEMA,
-                "saturation": _SCALAR_FIELD_SCHEMA,
-            },
-        },
-        "tensor": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(_KINDS["tensor"])},
-                "field": _SCALAR_FIELD_SCHEMA,
-            },
-        },
-        "minimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "max_iterations": {"type": "integer", "minimum": 0},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "eps_list": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "n_s": {"type": "integer", "minimum": 4},
-                "restarts": {"type": "integer", "minimum": 1},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string", "minLength": 1},
-    },
-}
 
-_MINIMIZER = _params(MinimizeOptions, *SCHEMA["properties"]["minimizer"]["properties"])
-_SWEEP = _params(SweepConfig, "n_s", "restarts")
+def _check(path: str, key: str, value):
+    text, test = _VALUES[key]
+    if not test(value):
+        raise ConfigError(f"config invalid at {path}: must be {text}")
 
 
 def _surface_kappa_max(surface: dict) -> float:
@@ -204,51 +164,64 @@ def _default_eps_list(surface: dict) -> list:
     return clipped
 
 
-# Built once: jsonschema.validate would check SCHEMA against its meta-schema on
-# every call, 99% of the cost of resolving a config.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-
-
-def validate_config(raw: dict):
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {error.message}")
-
-
-def _resolve_kind(kinds: dict, section: dict, path: str) -> dict:
-    """`section` with every parameter of its kind present; defaults are copied."""
+def _resolve_kind(kinds: dict, section, path: str) -> dict:
+    """`section` checked, with every parameter of its kind present; defaults are copied."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config invalid at {path}: must be an object")
+    if "kind" not in section:
+        raise ConfigError(f"config invalid at {path}: 'kind' is required")
     kind = section["kind"]
-    params = kinds[kind]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"config invalid at {path}/kind: must be one of {', '.join(kinds)}")
+    params = kinds[kind].params
     for key in section:
         if key != "kind" and key not in params:
             raise ConfigError(f"config invalid at {path}/{key}: not a parameter of kind {kind!r}")
     out = {"kind": kind}
     for key, default in params.items():
-        if key in section:
+        if key in _SCALAR_FIELD_PARAMS and key in section:
+            value = _resolve_kind(_SCALAR_FIELD_KINDS, section[key], f"{path}/{key}")
+        elif key in section:
             value = section[key]
+            _check(f"{path}/{key}", key, value)
         elif default is _REQUIRED:
             raise ConfigError(f"config invalid at {path}: kind {kind!r} requires {key}")
         else:
             value = list(default) if isinstance(default, tuple) else default
-        if key in _SCALAR_FIELD_PARAMS:
-            value = _resolve_kind(_SCALAR_FIELD_KINDS, value, f"{path}/{key}")
         out[key] = value
     return out
 
 
+def _resolve_settings(section, defaults: dict, path: str) -> dict:
+    """A section without a kind, checked and completed with `defaults`."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config invalid at {path}: must be an object")
+    for key, value in section.items():
+        if key not in defaults:
+            raise ConfigError(f"config invalid at {path}: unknown key {key!r}")
+        _check(f"{path}/{key}", key, value)
+    return {**defaults, **section}
+
+
 def resolve_config(raw: dict) -> dict:
-    """Validate and materialize all defaults; idempotent."""
-    validate_config(raw)
-    raw = copy.deepcopy(raw)
-    raw.setdefault("tensor", {"kind": "identity"})
+    """Check and materialize all defaults; idempotent."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config invalid at <root>: must be an object")
+    for key in raw:
+        if key not in _KINDS and key not in _SETTINGS and key not in _ROOT:
+            raise ConfigError(f"config invalid at <root>: unknown key {key!r}")
+    raw = {"tensor": {"kind": "identity"}, **copy.deepcopy(raw)}
+    missing = [section for section in _KINDS if section not in raw]
+    if missing:
+        raise ConfigError(f"config invalid at <root>: missing {', '.join(missing)}")
     cfg = {section: _resolve_kind(kinds, raw[section], section) for section, kinds in _KINDS.items()}
-    cfg["minimizer"] = {**_MINIMIZER, **raw.get("minimizer", {})}
-    cfg["sweep"] = {**_SWEEP, **raw.get("sweep", {})}
-    if "eps_list" not in cfg["sweep"]:  # the default is clipped to the curvature budget
+    for name, defaults in _SETTINGS.items():
+        cfg[name] = _resolve_settings(raw.get(name, {}), defaults, name)
+    if "eps_list" not in raw.get("sweep", {}):  # the default is clipped to the curvature budget
         cfg["sweep"]["eps_list"] = _default_eps_list(cfg["surface"])
-    cfg["seed"] = raw.get("seed", SweepConfig.seed)
-    cfg["output_dir"] = raw.get("output_dir", "chiralfilm-run")
+    for key, default in _ROOT.items():
+        cfg[key] = raw.get(key, default)
+        _check(key, key, cfg[key])
     return cfg
 
 
@@ -274,14 +247,20 @@ def _arguments(section: dict) -> dict:
             for k, v in section.items()}
 
 
+def _construct(section: str, resolved: dict):
+    """The target or perturbation a resolved section describes, built by its kind's class."""
+    args = _arguments(resolved)
+    return _KINDS[section][args.pop("kind")].cls(**args)
+
+
 def build_objects(cfg: dict) -> SweepConfig:
     """The sweep a resolved config describes: its grid, target, perturbation,
     tensor, minimizer options and sweep settings."""
     sweep = cfg["sweep"]
     return SweepConfig(
         grid=build_surface(SurfaceSpec(**cfg["surface"])),
-        target=make_target(**cfg["target"]),
-        pert=make_perturbation(**_arguments(cfg["perturbation"])),
+        target=_construct("target", cfg["target"]),
+        pert=_construct("perturbation", cfg["perturbation"]),
         tensor=EllipticTensor(**_arguments(cfg["tensor"])),
         eps_list=tuple(sweep["eps_list"]),
         n_s=sweep["n_s"],

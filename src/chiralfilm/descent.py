@@ -48,7 +48,7 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("iteration cap must not be negative")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:  # NaN fails too
             raise ValueError("gradient tolerance must be positive")
 
 

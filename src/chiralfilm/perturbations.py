@@ -274,17 +274,3 @@ def estimate_bound(pert: Perturbation, grid: SurfaceGrid, target, samples: int =
     quot = np.sqrt(np.sum((k1 - k2) ** 2, axis=(-2, -1)))[keep] / sep[keep]
     bound = max(float(np.max(fro1)), float(np.max(quot)) if quot.size else 0.0)
     return 1.1 * bound
-
-
-def make_perturbation(kind: str, **params) -> Perturbation:
-    if kind == "zero":
-        return ZeroPerturbation()
-    if kind == "bulk_dmi":
-        return BulkDMI(params["kappa"])
-    if kind == "interfacial_dmi":
-        return InterfacialDMI(params["kappa"])
-    if kind == "anisotropic_dmi":
-        return AnisotropicDMI(params["coupling"])
-    if kind == "temperature":
-        return TemperatureDMI(params["saturation"], params["coupling"])
-    raise PerturbationError(f"unknown perturbation kind {kind!r}")

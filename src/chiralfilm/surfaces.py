@@ -61,20 +61,6 @@ class ThicknessBudget:
     metric_bound: float = METRIC_BOUND
 
 
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Per-node surface data: point, principal frame, curvatures, weight."""
-
-    xi: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-    normal: np.ndarray
-    kappa1: float
-    kappa2: float
-    area_weight: float
-    chart_metric: tuple
-
-
 def difference_matrix(n: int, spacing: float, periodic: bool) -> np.ndarray:
     """Dense 1D first-derivative matrix: central interior, one-sided
     second-order rows at non-periodic edges."""
@@ -245,18 +231,6 @@ class SurfaceGrid:
         cv = np.asarray(cv, dtype=float)
         return _CHARTS[self.spec.kind](self.spec, cu, cv)[3]
 
-    def frame(self, i: int, j: int) -> SurfaceFrame:
-        return SurfaceFrame(
-            xi=self.points[i, j],
-            tau1=self.tau1[i, j],
-            tau2=self.tau2[i, j],
-            normal=self.normal[i, j],
-            kappa1=float(self.kappa1[i, j]),
-            kappa2=float(self.kappa2[i, j]),
-            area_weight=float(self.area_weight[i, j]),
-            chart_metric=(float(self.stretch_u[i, j]), float(self.stretch_v[i, j])),
-        )
-
     def require_eps(self, eps: float):
         if not 0.0 < eps <= self.budget.eps_max:
             raise SurfaceError(
@@ -339,13 +313,6 @@ def build_surface(spec: SurfaceSpec) -> SurfaceGrid:
         diff_u=difference_matrix(spec.n_u, du, per_u),
         diff_v=difference_matrix(spec.n_v, dv, per_v),
     )
-
-
-def tubular_point(frame: SurfaceFrame, eps: float, s: float, budget: ThicknessBudget = None) -> np.ndarray:
-    """Single-node offset map xi + eps*s*normal; validates eps when a budget is given."""
-    if budget is not None and not 0.0 < eps <= budget.eps_max:
-        raise SurfaceError(f"eps={eps} outside budget (0, {budget.eps_max}]")
-    return frame.xi + eps * s * frame.normal
 
 
 def metric_volume_factor(kappa1, kappa2, eps, s):

@@ -183,11 +183,3 @@ class EllipsoidTarget(TargetManifold):
         n = grad / gn
         wt = w - np.sum(w * n, axis=-1, keepdims=True) * n
         return (wt / self._a2) / gn
-
-
-def make_target(kind: str, **params) -> TargetManifold:
-    if kind == "sphere":
-        return SphereTarget(**params)
-    if kind == "ellipsoid":
-        return EllipsoidTarget(**params)
-    raise TargetError(f"unknown target kind {kind!r}")

@@ -356,7 +356,7 @@ def test_sweep_eps_list_override(tmp_path):
 
 
 def test_sweep_empty_eps_list_exits_1(tmp_path, capsys):
-    # an empty override fails the schema instead of falling back to the config's list
+    # an empty override fails the value rules instead of falling back to the config's list
     path = write_tiny_config(tmp_path, tmp_path / "empty")
     for override in ("", ","):
         assert main(["sweep", "--config", path, "--eps-list", override, "--quiet"]) == 1, override

@@ -3,13 +3,25 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chiralfilm.config import SCHEMA, ConfigError, resolve_config
+from chiralfilm import config
+from chiralfilm.cli import main
+from chiralfilm.config import ConfigError, build_objects, resolve_config
+from chiralfilm.perturbations import (
+    AnisotropicDMI,
+    BulkDMI,
+    InterfacialDMI,
+    PerturbationError,
+    TemperatureDMI,
+    ZeroPerturbation,
+)
 from chiralfilm.reporting import dumps_canonical
 from chiralfilm.surfaces import SurfaceSpec
+from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError
 
 positive = st.floats(0.05, 20.0)
 number = st.floats(-5.0, 5.0)
@@ -140,16 +152,104 @@ def test_resolved_defaults_are_copies():
     assert again["sweep"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
 
 
-def _schema_names(schema):
-    """Every key of the schema's sections, nested ones included, and every `kind` value."""
-    for key, sub in schema.get("properties", {}).items():
-        yield key
-        if key == "kind":
-            yield from sub["enum"]
-        yield from _schema_names(sub)
+def _config_names():
+    """Every section, key and `kind` value the config tables describe."""
+    yield from ("kind", *config._KINDS, *config._SETTINGS, *config._ROOT, *config._VALUES)
+    for kinds in (*config._KINDS.values(), config._SCALAR_FIELD_KINDS):
+        for kind, entry in kinds.items():
+            yield kind
+            yield from entry.params
+    for defaults in config._SETTINGS.values():
+        yield from defaults
 
 
 def test_readme_names_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    missing = sorted({name for name in _schema_names(SCHEMA) if f"`{name}`" not in readme})
+    missing = sorted({name for name in _config_names() if f"`{name}`" not in readme})
     assert missing == []
+
+
+TINY = {"surface": {"kind": "sphere", "n_u": 8, "n_v": 8}, "target": {"kind": "sphere"},
+        "perturbation": {"kind": "bulk_dmi"}}
+EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"surface": {"kind": "sphere", "n_u": 3}}, "surface/n_u"),
+    ({"surface": {"kind": "sphere", "n_u": 4.5}}, "surface/n_u"),
+    ({"surface": {"kind": "sphere", "n_u": True}}, "surface/n_u"),
+    ({"surface": {"kind": "sphere", "radius": 0}}, "surface/radius"),
+    ({"target": {"kind": "sphere", "radius": "1"}}, "target/radius"),
+    ({"surface": {"kind": "flat_patch", "periodic_u": 1}}, "surface/periodic_u"),
+    ({"target": {"kind": "ellipsoid", "semi_axes": [1.0, 1.0]}}, "target/semi_axes"),
+    ({"perturbation": {"kind": "anisotropic_dmi", "coupling": EYE[:2]}}, "perturbation/coupling"),
+    ({"perturbation": {"kind": "bulk_dmi", "kappa": "x"}}, "perturbation/kappa"),
+    ({"tensor": {"kind": "scalar_field", "field": {"kind": "affine", "c": [0.0, 0.3]}}},
+     "tensor/field/c"),
+    ({"sweep": {"eps_list": []}}, "sweep/eps_list"),
+    ({"sweep": {"eps_list": [-0.1]}}, "sweep/eps_list"),
+    ({"sweep": {"n_s": 3}}, "sweep/n_s"),
+    ({"sweep": {"restarts": 0}}, "sweep/restarts"),
+    ({"minimizer": {"max_iterations": -1}}, "minimizer/max_iterations"),
+    ({"minimizer": {"grad_tol": 0}}, "minimizer/grad_tol"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"output_dir": ""}, "output_dir"),
+    ({"target": {"kind": []}}, "target/kind"),
+    ({"perturbation": {"kind": "nope"}}, "perturbation/kind"),
+    ({"tensor": []}, "tensor"),
+], ids=str)
+def test_rejected_values(change, path):
+    with pytest.raises(ConfigError, match="^config invalid at " + re.escape(path) + "[:/]"):
+        resolve_config({**copy.deepcopy(TINY), **change})
+
+
+def test_integral_float_is_an_integer():
+    raw = {**copy.deepcopy(TINY), "surface": {"kind": "sphere", "n_u": 4.0}}
+    assert resolve_config(raw)["surface"]["n_u"] == 4.0
+
+
+NON_FINITE = [("surface", "radius"), ("minimizer", "grad_tol"), ("perturbation", "kappa")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("section, key", NON_FINITE, ids=str)
+def test_non_finite_numbers_rejected(section, key, value, tmp_path, capsys):
+    raw = copy.deepcopy(TINY)
+    raw.setdefault(section, {})[key] = value
+    raw["output_dir"] = str(tmp_path / "out")
+    assert_invalid_at(raw, f"{section}/{key}:")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity literals, which json.load accepts
+    assert main(["minimize", "--config", str(path), "--quiet"]) == 1
+    assert f"config invalid at {section}/{key}:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _built(section, value):
+    return getattr(build_objects(resolve_config({**TINY, section: value})),
+                   "pert" if section == "perturbation" else section)
+
+
+def test_target_kinds_build_their_class():
+    assert type(_built("target", {"kind": "sphere", "radius": 2.0})) is SphereTarget
+    assert type(_built("target", {"kind": "ellipsoid", "semi_axes": [2.0, 1.0, 1.0]})) is EllipsoidTarget
+    assert_invalid_at({**TINY, "target": {"kind": "cube"}}, "target/kind:")
+    with pytest.raises(TargetError):
+        SphereTarget(0.0)
+    with pytest.raises(TargetError):
+        EllipsoidTarget([1.0, -1.0, 1.0])
+
+
+def test_perturbation_kinds_build_their_class():
+    assert type(_built("perturbation", {"kind": "zero"})) is ZeroPerturbation
+    assert _built("perturbation", {"kind": "bulk_dmi", "kappa": 2.0}).kappa == 2.0
+    assert type(_built("perturbation", {"kind": "bulk_dmi"})) is BulkDMI
+    assert type(_built("perturbation", {"kind": "interfacial_dmi", "kappa": 1.0})) is InterfacialDMI
+    assert type(_built("perturbation", {"kind": "anisotropic_dmi", "coupling": EYE})) is AnisotropicDMI
+    temp = _built("perturbation", {"kind": "temperature", "coupling": EYE,
+                                   "saturation": {"kind": "constant", "c0": 1.0}})
+    assert type(temp) is TemperatureDMI and temp.saturation.c0 == 1.0
+    assert_invalid_at({**TINY, "perturbation": {"kind": "wavy"}}, "perturbation/kind:")
+    with pytest.raises(PerturbationError):
+        AnisotropicDMI(np.eye(4))

@@ -120,8 +120,9 @@ def test_nan_energy_aborts():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        MinimizeOptions(grad_tol=0.0)
+    for grad_tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            MinimizeOptions(grad_tol=grad_tol)
     with pytest.raises(ValueError):
         MinimizeOptions(max_iterations=-1)
 

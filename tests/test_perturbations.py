@@ -13,7 +13,6 @@ from chiralfilm.perturbations import (
     ZeroPerturbation,
     estimate_bound,
     frame_sample,
-    make_perturbation,
     right_cross_matrix,
     surface_scalar_gradient,
 )
@@ -235,21 +234,6 @@ def test_custom_perturbation_validation(small_torus, rng):
     nonfinite = CustomPerturbation(lambda c, s: np.full(s.shape + (3,), np.nan))
     with pytest.raises(PerturbationError):
         nonfinite.kmatrix(ctx, sigma)
-
-
-def test_make_perturbation_dispatch():
-    assert isinstance(make_perturbation("zero"), ZeroPerturbation)
-    assert isinstance(make_perturbation("bulk_dmi", kappa=2.0), BulkDMI)
-    assert isinstance(make_perturbation("interfacial_dmi", kappa=1.0), InterfacialDMI)
-    assert isinstance(make_perturbation("anisotropic_dmi", coupling=np.eye(3)), AnisotropicDMI)
-    temp = make_perturbation(
-        "temperature", saturation=ScalarSurfaceField("constant", c0=1.0), coupling=np.eye(3)
-    )
-    assert isinstance(temp, TemperatureDMI)
-    with pytest.raises(PerturbationError):
-        make_perturbation("wavy")
-    with pytest.raises(PerturbationError):
-        AnisotropicDMI(np.eye(4))
 
 
 def test_temperature_requires_positive_saturation(small_torus):

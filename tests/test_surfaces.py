@@ -12,7 +12,6 @@ from chiralfilm.surfaces import (
     difference_matrix,
     metric_tangent_coeff,
     metric_volume_factor,
-    tubular_point,
 )
 
 ALL_SPECS = [
@@ -105,20 +104,19 @@ def test_shape_operator_grid_stencil_second_order():
 
 
 def test_tubular_point_examples(flat_patch, sphere_band):
-    frame = flat_patch.frame(3, 5)
-    moved = tubular_point(frame, 0.1, 0.5, flat_patch.budget)
-    assert moved[2] == pytest.approx(0.05, abs=1e-15)
-    assert moved[0] == frame.xi[0] and moved[1] == frame.xi[1]
+    # a flat patch moves along its normal, e3
+    moved = flat_patch.tubular_points(0.1, 0.5)
+    assert np.all(np.abs(moved[..., 2] - 0.05) <= 1e-15)
+    assert np.array_equal(moved[..., :2], flat_patch.points[..., :2])
 
-    frame = sphere_band.frame(10, 20)
-    moved = tubular_point(frame, 0.1, 1.0, sphere_band.budget)
-    assert np.linalg.norm(moved) == pytest.approx(1.1, abs=1e-12)
+    # the unit sphere's radius becomes 1 + eps*s, and s = 0 is exact
+    moved = sphere_band.tubular_points(0.1, 1.0)
+    assert np.max(np.abs(np.linalg.norm(moved, axis=-1) - 1.1)) <= 1e-12
+    assert np.array_equal(sphere_band.tubular_points(0.1, 0.0), sphere_band.points)
 
-    same = tubular_point(frame, 0.1, 0.0, sphere_band.budget)
-    assert np.array_equal(same, frame.xi)
-
-    with pytest.raises(SurfaceError):
-        tubular_point(frame, 0.6, 0.5, sphere_band.budget)
+    for eps in (0.6, 0.0):  # outside the budget (0, 1/2]
+        with pytest.raises(SurfaceError):
+            sphere_band.tubular_points(eps, 0.5)
 
 
 def test_tubular_points_signed_distance(sphere_band, torus_grid):
@@ -304,10 +302,13 @@ def test_invalid_specs_rejected(bad_spec):
 
 
 def test_frame_view_matches_arrays(small_torus):
-    frame = small_torus.frame(2, 3)
-    assert np.array_equal(frame.xi, small_torus.points[2, 3])
-    assert frame.kappa1 == small_torus.kappa1[2, 3]
-    assert frame.chart_metric == (
-        small_torus.stretch_u[2, 3],
-        small_torus.stretch_v[2, 3],
-    )
+    # the layered offset map agrees node by node with the frame arrays and the scalar-s map
+    s = np.array([-1.0, 0.0, 0.5])
+    layers = small_torus.tubular_points(0.1, s)
+    assert layers.shape == small_torus.shape + (3, 3)
+    for k, sk in enumerate(s):
+        assert np.array_equal(layers[:, :, k], small_torus.tubular_points(0.1, sk))
+    assert np.array_equal(layers[2, 3, 2], small_torus.points[2, 3] + 0.05 * small_torus.normal[2, 3])
+    assert np.array_equal(layers[:, :, 1], small_torus.points)
+    assert np.array_equal(small_torus.area_weight,
+                          small_torus.du * small_torus.dv * small_torus.stretch_u * small_torus.stretch_v)

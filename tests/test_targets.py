@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError, make_target
+from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError
 
 
 def ellipsoid_surface_cloud(axes, n_theta=400, n_phi=800):
@@ -257,14 +257,3 @@ def test_ellipsoid_rejects_medial_axis():
     ell = EllipsoidTarget([2.0, 1.0, 1.0])
     with pytest.raises(TargetError):
         ell.project(np.zeros(3))
-
-
-def test_make_target_and_validation():
-    assert isinstance(make_target("sphere", radius=2.0), SphereTarget)
-    assert isinstance(make_target("ellipsoid", semi_axes=[2.0, 1.0, 1.0]), EllipsoidTarget)
-    with pytest.raises(TargetError):
-        make_target("cube")
-    with pytest.raises(TargetError):
-        SphereTarget(0.0)
-    with pytest.raises(TargetError):
-        EllipsoidTarget([1.0, -1.0, 1.0])
