@@ -103,10 +103,9 @@ def _positive(value) -> bool:
 
 
 def _integer(least: int):
-    """An integer of at least `least`; an integral float such as 4.0 counts."""
+    """An integer of at least `least`; a float such as 4.0 is not one."""
     return (f"an integer >= {least}",
-            lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                       or isinstance(v, float) and v.is_integer()) and v >= least)
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least)
 
 
 def _array(item, length=None):
@@ -235,10 +234,6 @@ def read_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config invalid at <root>: {path} does not hold a JSON object")
     return raw
-
-
-def load_config(path: str) -> dict:
-    return resolve_config(read_config(path))
 
 
 def _arguments(section: dict) -> dict:

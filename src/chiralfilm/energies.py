@@ -1,6 +1,6 @@
 """Discrete film energies on the reference cylinder N x (-1, 1).
 
-Three functionals are assembled on a fixed surface grid:
+Two functionals are assembled on a fixed surface grid:
 
 * the thin-film pull-back energy
       (1/2) int sum_i |a h_i d_{tau_i} u + K(u) tau_i|^2 sqrt(g)
@@ -14,12 +14,7 @@ Three functionals are assembled on a fixed surface grid:
   whose second term is the curvature-induced shape anisotropy.  The tensor a
   is scalar and n_M(u) a unit normal, so a cancels from that quotient, which
   is (K(u) n_N . n_M(u))^2 for every tensor; a enters only as the
-  coefficient of the derivatives, all ones for the identity tensor;
-
-* an independent volume quadrature of the ambient chiral Dirichlet energy
-  used to cross-check the pull-back: the 3D field Jacobian is recovered
-  through a finite-difference Jacobian of the offset map instead of the
-  closed-form metric factors.
+  coefficient of the derivatives, all ones for the identity tensor.
 
 Quadrature: midpoint weights on the surface chart, trapezoid in s.
 Gradients are exact adjoints of the same difference stencils, so they match
@@ -129,44 +124,30 @@ def frame_images(kmat, ctx):
 class KFrame:
     """K(u) applied to the frame F = (tau_1, tau_2, n_N), bound to (grid, pert).
 
-    Fields have shape (n_u, n_v, 3), or (n_u, n_v, n_s, 3) with s_axis;
-    images and couplings carry a leading frame-row axis, shape (3,) + field
-    shape.  When K is linear in sigma, K(u) f_m = sum_j u_j K(e_j) f_m: the
-    basis K(e_j) f_m is built once as (3, n_u, n_v, 3, 3), indexed
-    (m, ..., j, i), so applying K is one matmul and its coupling one matmul
-    with the transpose.  Otherwise K and its sigma-derivative are taken at
-    each iterate.
+    Fields have shape (n_u, n_v, 3) or (n_u, n_v, n_s, 3); images and
+    couplings carry a leading frame-row axis, shape (3,) + field shape.  K is
+    linear in sigma, so K(u) f_m = sum_j u_j K(e_j) f_m: the basis K(e_j) f_m
+    is built once as (3, n_u, n_v, 3, 3), indexed (m, ..., j, i), so applying
+    K is one matmul and its coupling one matmul with the transpose.
     """
 
-    def __init__(self, grid: SurfaceGrid, pert, s_axis: bool = False):
-        self.pert = pert
+    def __init__(self, grid: SurfaceGrid, pert):
         self.shape = grid.shape
-        self.ctx = frame_sample(grid, pert, trailing_axes=int(s_axis))
-        self.basis = None
-        if pert.linear_in_sigma:
-            units = [np.broadcast_to(e, self.ctx.normal.shape) for e in np.eye(3)]
-            basis = self._rows([pert.kmatrix(self.ctx, e) for e in units])
-            self.basis = np.ascontiguousarray(basis.reshape((3,) + grid.shape + (3, 3)))
-
-    def _rows(self, kd):
-        """Frame images of three matrix fields K_j, indexed (m, ..., j, i)."""
-        return np.moveaxis(np.stack([frame_images(k, self.ctx) for k in kd], axis=-2), -3, 0)
+        ctx = frame_sample(grid, pert)
+        rows = [frame_images(pert.kmatrix(ctx, np.broadcast_to(e, ctx.normal.shape)), ctx)
+                for e in np.eye(3)]
+        basis = np.moveaxis(np.stack(rows, axis=-2), -3, 0)
+        self.basis = np.ascontiguousarray(basis.reshape((3,) + grid.shape + (3, 3)))
 
     def images(self, values):
         """K(u) F as a fresh array whose [m] block is K(u) f_m."""
-        if self.basis is None:
-            return np.moveaxis(frame_images(self.pert.kmatrix(self.ctx, values), self.ctx), -2, 0)
         rows = values.reshape(self.shape + (-1, 3)) @ self.basis
         return rows.reshape((3,) + values.shape)
 
-    def couplings(self, values, y):
-        """Block m holds the u-gradient of y[m] . K(u) f_m; y is shaped like images(values)."""
-        if self.basis is not None:
-            rows = y.reshape((3,) + self.shape + (-1, 3)) @ np.swapaxes(self.basis, -1, -2)
-            return rows.reshape(y.shape)
-        units = [np.broadcast_to(e, values.shape) for e in np.eye(3)]
-        kd = self._rows([self.pert.kmatrix_dsigma(self.ctx, values, e) for e in units])
-        return (y[..., None, :] @ np.swapaxes(kd, -1, -2))[..., 0, :]
+    def couplings(self, y):
+        """Block m holds the u-gradient of y[m] . K(u) f_m; y is shaped like images(u)."""
+        rows = y.reshape((3,) + self.shape + (-1, 3)) @ np.swapaxes(self.basis, -1, -2)
+        return rows.reshape(y.shape)
 
 
 def _bits(values):
@@ -217,7 +198,6 @@ class LimitEnergy:
     def __init__(self, grid: SurfaceGrid, target, pert, tensor=IDENTITY_TENSOR):
         self.grid = grid
         self.target = target
-        self.pert = pert
         self.weight = grid.area_weight
         self.a = tensor.values_on(grid)[..., None]
         self.kframe = KFrame(grid, pert)
@@ -261,7 +241,7 @@ class LimitEnergy:
         kn = r[2]
         y = 2.0 * w[..., None] * r
         y[2] = n_m
-        coupled = self.kframe.couplings(values, y)
+        coupled = self.kframe.couplings(y)
         y[:2] *= self.a
         grad = grid.tangential_derivative_adjoint(y[0], 0)
         grad += grid.tangential_derivative_adjoint(y[1], 1)
@@ -282,7 +262,6 @@ class ThinFilmEnergy:
     def __init__(self, grid: SurfaceGrid, pert, eps: float, n_s: int, tensor=IDENTITY_TENSOR):
         grid.require_eps(eps)
         self.grid = grid
-        self.pert = pert
         self.eps = float(eps)
         self.s, self.s_weights, self.diff_s = s_quadrature(n_s)
         self.n_s = n_s
@@ -293,7 +272,7 @@ class ThinFilmEnergy:
         # row coefficients: multipliers a h_1 and a h_2, and the divisor eps / a of the s-row
         a = tensor.values_on(grid)[:, :, None]
         self._row_scale = ((a / f1)[..., None], (a / f2)[..., None], (self.eps / a)[..., None])
-        self.kframe = KFrame(grid, pert, s_axis=True)
+        self.kframe = KFrame(grid, pert)
         self._memo = _ForwardMemo()
 
     def _check(self, values):
@@ -341,7 +320,7 @@ class ThinFilmEnergy:
         bd, r = self._memo.take(self._evaluate, values)
         grid = self.grid
         r *= self.weight[..., None]
-        grad = self.kframe.couplings(values, r).sum(axis=0)
+        grad = self.kframe.couplings(r).sum(axis=0)
         self._scale(r)
         grad += grid.tangential_derivative_adjoint(r[0], 0)
         grad += grid.tangential_derivative_adjoint(r[1], 1)
@@ -415,69 +394,3 @@ def h1_distance(grid, thin_field: DirectorField, surface_field: DirectorField) -
         + np.sum(dsd * dsd, axis=-1)
     )
     return float(np.sqrt(np.sum(w * dens)))
-
-
-def _invert_3x3(mat: np.ndarray) -> np.ndarray:
-    """Batched closed-form (adjugate) inverse of (..., 3, 3) arrays."""
-    a = mat[..., 0, 0]
-    b = mat[..., 0, 1]
-    c = mat[..., 0, 2]
-    d = mat[..., 1, 0]
-    e = mat[..., 1, 1]
-    f = mat[..., 1, 2]
-    g = mat[..., 2, 0]
-    h = mat[..., 2, 1]
-    i = mat[..., 2, 2]
-    co_a = e * i - f * h
-    co_b = f * g - d * i
-    co_c = d * h - e * g
-    det = a * co_a + b * co_b + c * co_c
-    inv = np.empty_like(mat)
-    inv[..., 0, 0] = co_a
-    inv[..., 0, 1] = c * h - b * i
-    inv[..., 0, 2] = b * f - c * e
-    inv[..., 1, 0] = co_b
-    inv[..., 1, 1] = a * i - c * g
-    inv[..., 1, 2] = c * d - a * f
-    inv[..., 2, 0] = co_c
-    inv[..., 2, 1] = b * g - a * h
-    inv[..., 2, 2] = a * e - b * d
-    inv /= det[..., None, None]
-    return inv
-
-
-def direct_tubular_energy(grid, pert, eps, field: DirectorField) -> float:
-    """Ambient chiral Dirichlet energy by direct volume quadrature.
-
-    The 3D Jacobian of the film field is recovered by inverting a
-    finite-difference Jacobian of the offset map at grid resolution, so the
-    frame decomposition and tangential/normal coefficients of the pull-back
-    never enter; only the volume weights reuse eps*sqrt(g).
-    """
-    if field.layout != "thin":
-        raise EnergyError("direct quadrature needs a thin field")
-    grid.require_eps(eps)
-    values = field.values
-    n_s = field.n_s
-    s, s_weights, diff_s = s_quadrature(n_s)
-    positions = grid.tubular_points(eps, s)
-
-    dp1 = apply_difference(grid.diff_u, positions, 0)
-    dp2 = apply_difference(grid.diff_v, positions, 1)
-    dps = apply_difference(diff_s, positions, 2)
-    jac = np.stack([dp1, dp2, dps], axis=-1)
-
-    du1 = apply_difference(grid.diff_u, values, 0)
-    du2 = apply_difference(grid.diff_v, values, 1)
-    dus = apply_difference(diff_s, values, 2)
-    mu = np.stack([du1, du2, dus], axis=-1)
-
-    dv = mu @ _invert_3x3(jac)
-    ctx = frame_sample(grid, pert, trailing_axes=1)
-    kmat = pert.kmatrix(ctx, values)
-    dens = np.sum((dv + kmat) ** 2, axis=(-2, -1))
-
-    es = eps * s[None, None, :]
-    sqrtg = (1.0 + es * grid.kappa1[..., None]) * (1.0 + es * grid.kappa2[..., None])
-    w = grid.area_weight[..., None] * s_weights[None, None, :] * sqrtg
-    return float(0.5 * np.sum(w * dens))

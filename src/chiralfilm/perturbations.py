@@ -7,15 +7,16 @@ with a coupling matrix J (K(sigma) w = (J w) x sigma), and the nonuniform
 saturation-magnetization variant (K(xi, sigma) w = (grad_Ms . w) sigma +
 (J w) x sigma, paired with the scalar tensor A = Ms * I).
 
-Every preset is linear in sigma, so directional derivatives in sigma reuse
-the evaluator itself.  Evaluators are stateless and vectorized: they receive
-a FrameSample whose arrays broadcast against sigma of shape (..., 3).
+Every preset is linear in sigma, so K(xi, sigma) = sum_j sigma_j K(xi, e_j),
+which the energies build once per grid.  Evaluators are stateless and
+vectorized: they receive a FrameSample whose arrays broadcast against sigma
+of shape (..., 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .surfaces import SurfaceGrid
 
 
 class PerturbationError(ValueError):
-    """Invalid perturbation parameters or callback output."""
+    """Invalid perturbation parameters."""
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,15 @@ def surface_scalar_gradient(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray
     return d1[..., None] * grid.tau1 + d2[..., None] * grid.tau2
 
 
-def frame_sample(grid: SurfaceGrid, pert=None, trailing_axes: int = 0, index=None) -> FrameSample:
-    """Gather frame arrays aligned with a field of shape (n_u, n_v, [extra], 3).
+def frame_sample(grid: SurfaceGrid, pert, index=None) -> FrameSample:
+    """Gather frame arrays aligned with a field of shape (n_u, n_v, 3).
 
-    trailing_axes inserts broadcast axes (e.g. 1 for thin fields with an
-    s-layer axis).  index selects scattered nodes as (ii, jj) arrays.
+    index selects scattered nodes as (ii, jj) arrays.
     """
-    grad = None
-    if pert is not None and getattr(pert, "needs_ms_gradient", False):
-        grad = pert.ms_gradient(grid)
+    grad = pert.ms_gradient(grid) if pert.needs_ms_gradient else None
 
     def pick(arr):
-        out = arr[index] if index is not None else arr
-        if trailing_axes:
-            out = out.reshape(out.shape[:-1] + (1,) * trailing_axes + (3,))
-        return out
+        return arr[index] if index is not None else arr
 
     return FrameSample(
         points=pick(grid.points),
@@ -106,22 +101,12 @@ def right_cross_matrix(sigma: np.ndarray) -> np.ndarray:
 
 
 class Perturbation:
-    """Base evaluator for the matrix field K(xi, sigma)."""
+    """Base evaluator for the matrix field K(xi, sigma), linear in sigma."""
 
-    linear_in_sigma = True
     needs_ms_gradient = False
 
     def kmatrix(self, ctx: FrameSample, sigma: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def kmatrix_dsigma(self, ctx: FrameSample, sigma: np.ndarray, dsigma: np.ndarray) -> np.ndarray:
-        """Directional derivative of K in sigma; exact for linear presets."""
-        if self.linear_in_sigma:
-            return self.kmatrix(ctx, dsigma)
-        step = 1e-7
-        plus = self.kmatrix(ctx, sigma + step * dsigma)
-        minus = self.kmatrix(ctx, sigma - step * dsigma)
-        return (plus - minus) / (2.0 * step)
 
 
 class ZeroPerturbation(Perturbation):
@@ -188,30 +173,6 @@ class TemperatureDMI(Perturbation):
         return outer + right_cross_matrix(sigma) @ self.coupling
 
 
-class CustomPerturbation(Perturbation):
-    """User hook: fn(ctx, sigma) -> (..., 3, 3); optional analytic derivative."""
-
-    linear_in_sigma = False
-
-    def __init__(self, fn: Callable, dfn: Callable = None, linear_in_sigma: bool = False):
-        self.fn = fn
-        self.dfn = dfn
-        self.linear_in_sigma = linear_in_sigma
-
-    def kmatrix(self, ctx, sigma):
-        out = np.asarray(self.fn(ctx, sigma), dtype=float)
-        if out.shape != sigma.shape + (3,):
-            raise PerturbationError(f"custom K returned shape {out.shape}, expected {sigma.shape + (3,)}")
-        if not np.all(np.isfinite(out)):
-            raise PerturbationError("custom K returned non-finite entries")
-        return out
-
-    def kmatrix_dsigma(self, ctx, sigma, dsigma):
-        if self.dfn is not None:
-            return np.asarray(self.dfn(ctx, sigma, dsigma), dtype=float)
-        return super().kmatrix_dsigma(ctx, sigma, dsigma)
-
-
 class EllipticTensor:
     """Scalar elliptic multiplier a(xi); identity or a positive surface field."""
 
@@ -231,46 +192,5 @@ class EllipticTensor:
             raise PerturbationError("elliptic tensor must be positive on the surface")
         return values
 
-    def bounds_on(self, grid: SurfaceGrid):
-        values = self.values_on(grid)
-        return float(np.min(values)), float(np.max(values))
-
 
 IDENTITY_TENSOR = EllipticTensor("identity")
-
-
-def tangential_images(pert: Perturbation, grid: SurfaceGrid, sigma: np.ndarray):
-    """Columns K(xi, sigma) tau_1 and K(xi, sigma) tau_2 per node.
-
-    These are the tangential restrictions of the perturbation entering the
-    first term of the limit energy; sigma has shape (n_u, n_v, 3).
-    """
-    from .energies import frame_images  # energies imports this module
-
-    ctx = frame_sample(grid, pert)
-    images = frame_images(pert.kmatrix(ctx, sigma), ctx)
-    return images[..., 0, :], images[..., 1, :]
-
-
-def estimate_bound(pert: Perturbation, grid: SurfaceGrid, target, samples: int = 1000, seed: int = 0) -> float:
-    """Empirical Lipschitz/size bound for K over random (node, sigma) draws.
-
-    Returns 1.1 times the larger of max |K| and the max sampled difference
-    quotient; diagnostic only.
-    """
-    if samples < 1000:
-        raise PerturbationError("need at least 1000 samples for the bound estimate")
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, grid.shape[0], size=samples)
-    jj = rng.integers(0, grid.shape[1], size=samples)
-    ctx = frame_sample(grid, pert, index=(ii, jj))
-    sigma1 = target.project(rng.standard_normal((samples, 3)))
-    sigma2 = target.project(rng.standard_normal((samples, 3)))
-    k1 = pert.kmatrix(ctx, sigma1)
-    k2 = pert.kmatrix(ctx, sigma2)
-    fro1 = np.sqrt(np.sum(k1 * k1, axis=(-2, -1)))
-    sep = np.sqrt(np.sum((sigma1 - sigma2) ** 2, axis=-1))
-    keep = sep > 1e-9
-    quot = np.sqrt(np.sum((k1 - k2) ** 2, axis=(-2, -1)))[keep] / sep[keep]
-    bound = max(float(np.max(fro1)), float(np.max(quot)) if quot.size else 0.0)
-    return 1.1 * bound

@@ -220,30 +220,11 @@ class SurfaceGrid:
     def shape(self):
         return self.points.shape[:2]
 
-    def chart_point(self, cu, cv):
-        """Analytic chart map: coordinates -> embedded point(s)."""
-        cu = np.asarray(cu, dtype=float)
-        cv = np.asarray(cv, dtype=float)
-        return _CHARTS[self.spec.kind](self.spec, cu, cv)[0]
-
-    def chart_normal(self, cu, cv):
-        cu = np.asarray(cu, dtype=float)
-        cv = np.asarray(cv, dtype=float)
-        return _CHARTS[self.spec.kind](self.spec, cu, cv)[3]
-
     def require_eps(self, eps: float):
         if not 0.0 < eps <= self.budget.eps_max:
             raise SurfaceError(
                 f"film half-thickness eps={eps} outside budget (0, {self.budget.eps_max}]"
             )
-
-    def tubular_points(self, eps: float, s) -> np.ndarray:
-        """Offset map xi + eps*s*normal for s scalar or 1D array of layers."""
-        self.require_eps(eps)
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self.points + eps * float(s) * self.normal
-        return self.points[:, :, None, :] + eps * s[None, None, :, None] * self.normal[:, :, None, :]
 
     def tangential_derivative(self, values: np.ndarray, direction: int) -> np.ndarray:
         """Derivative along the unit principal direction tau_{direction+1}.
@@ -313,13 +294,3 @@ def build_surface(spec: SurfaceSpec) -> SurfaceGrid:
         diff_u=difference_matrix(spec.n_u, du, per_u),
         diff_v=difference_matrix(spec.n_v, dv, per_v),
     )
-
-
-def metric_volume_factor(kappa1, kappa2, eps, s):
-    """Volume distortion between the offset layer and the base surface."""
-    return (1.0 + eps * s * kappa1) * (1.0 + eps * s * kappa2)
-
-
-def metric_tangent_coeff(kappa_i, eps, s):
-    """Tangential-gradient distortion between the offset layer and the base surface."""
-    return 1.0 / (1.0 + eps * s * kappa_i)

@@ -1,9 +1,10 @@
 """Target constraint manifolds with nearest-point projection.
 
-Each target supplies the triple (project, normal, signed_distance) plus the
-tangent projector.  The normal field is implemented as a smooth extension to
-a neighborhood of the manifold so that energies stay differentiable when a
-node value drifts off the constraint during finite-difference checks.
+Each target supplies project, normal and normal_pullback (the transpose of
+the normal's Jacobian) plus the tangent projector.  The normal field is
+implemented as a smooth extension to a neighborhood of the manifold so that
+energies stay differentiable when a node value drifts off the constraint
+during finite-difference checks.
 
 All operations are vectorized over leading axes of (... , 3) arrays.
 """
@@ -17,8 +18,8 @@ class TargetError(ValueError):
     """Projection request outside the admissible region, or non-convergence."""
 
 
-def _norm(y, axis=-1, keepdims=True):
-    return np.sqrt(np.sum(y * y, axis=axis, keepdims=keepdims))
+def _norm(y):
+    return np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
 
 
 def tangent_part(n, v):
@@ -41,9 +42,6 @@ class TargetManifold:
         raise NotImplementedError
 
     def normal(self, sigma: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def signed_distance(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def normal_pullback(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -77,10 +75,6 @@ class SphereTarget(TargetManifold):
     def normal(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
         return sigma / self._safe_norm(sigma)
-
-    def signed_distance(self, y):
-        y = np.asarray(y, dtype=float)
-        return _norm(y, keepdims=False) - self.radius
 
     def normal_pullback(self, y, w):
         y = np.asarray(y, dtype=float)
@@ -169,12 +163,6 @@ class EllipsoidTarget(TargetManifold):
         if np.any(n < 1e-14):
             raise TargetError("normal undefined at the center")
         return grad / n
-
-    def signed_distance(self, y):
-        y = np.asarray(y, dtype=float)
-        t = self._multiplier(y)
-        # y - sigma = t y / (t + a^2), and t < 0 exactly when y is inside
-        return t * _norm(y / (t[..., None] + self._a2), keepdims=False)
 
     def normal_pullback(self, y, w):
         y = np.asarray(y, dtype=float)

@@ -18,7 +18,6 @@ from chiralfilm.energies import (
     DirectorField,
     LimitEnergy,
     ThinFilmEnergy,
-    direct_tubular_energy,
     limit_energy,
     thin_film_energy,
 )
@@ -30,9 +29,10 @@ from chiralfilm.perturbations import (
     ScalarSurfaceField,
     TemperatureDMI,
 )
-from chiralfilm.surfaces import SurfaceSpec, build_surface, metric_volume_factor
+from chiralfilm.surfaces import SurfaceSpec, build_surface
 from chiralfilm.sweep import check_vanishing_identity, planar_interfacial_crosscheck, run_sweep
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
+from oracles import chart_normal, chart_point, direct_tubular_energy, metric_volume_factor
 
 PRESET_NAMES = ("bulk", "interfacial", "anisotropic", "temperature")
 _SWEEP_CACHE = {}
@@ -130,11 +130,11 @@ def test_criterion_2_jacobian_identity():
             cu, cv = grid.u[i], grid.v[j]
 
             def phi(a, b):
-                return grid.chart_point(a, b) + eps * s * grid.chart_normal(a, b)
+                return chart_point(grid, a, b) + eps * s * chart_normal(grid, a, b)
 
             col_u = (phi(cu + delta, cv) - phi(cu - delta, cv)) / (2 * delta) / grid.stretch_u[i, j]
             col_v = (phi(cu, cv + delta) - phi(cu, cv - delta)) / (2 * delta) / grid.stretch_v[i, j]
-            col_s = eps * grid.chart_normal(cu, cv)
+            col_s = eps * chart_normal(grid, cu, cv)
             det = float(np.linalg.det(np.stack([col_u, col_v, col_s], axis=-1))) / eps
             expected = metric_volume_factor(grid.kappa1[i, j], grid.kappa2[i, j], eps, s)
             rel = abs(det - expected) / abs(expected)
@@ -265,6 +265,33 @@ def test_criterion_7_gamma_sweep(name):
     assert flags["h1_non_increasing"], [e.h1_to_limit for e in report.entries]
     print(f"ACCEPTANCE 7 sweep [{name}]: PASS "
           f"(gaps {', '.join(f'{g:.3e}' for g in gaps)}; smallest/largest = {gaps[-1] / gaps[0]:.3%} <= 20%)")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ("bulk", "temperature"))
+def test_gamma_sweep_with_shape_anisotropy(name):
+    """Criterion 7's trends where the limit carries the shape-anisotropy term.
+
+    The presets' sphere target makes (K(u) n_N . n_M(u))^2 vanish for every
+    preset; an ellipsoid target keeps it, and it reaches the sweep through the
+    n_N rows of the frame basis (images[2], couplings[2]).
+    """
+    cfg = preset_config(name)
+    cfg["surface"].update(n_u=32, n_v=32)
+    cfg["target"] = {"kind": "ellipsoid", "semi_axes": [1.2, 1.0, 0.8]}
+    report, _ = run_sweep(build_objects(cfg))
+    flags = report.flags
+    gaps = [e.gap for e in report.entries]
+    for flag in ("all_eps_succeeded", "gaps_non_increasing", "gap_ratio_ok",
+                 "recovery_non_increasing", "s_share_decreasing", "h1_non_increasing",
+                 "all_converged"):
+        assert flags[flag], (flag, gaps)
+    # the term is no roundoff residue: it dwarfs the smallest gap
+    anisotropy = report.limit_energy["normal_or_anisotropy"]
+    assert anisotropy >= 10.0 * min(gaps), (anisotropy, gaps)
+    print(f"ACCEPTANCE 7 sweep [{name}, ellipsoid target]: PASS "
+          f"(gaps {', '.join(f'{g:.3e}' for g in gaps)}; anisotropy {anisotropy:.3e} "
+          f"= {anisotropy / min(gaps):.0f} x smallest gap)")
 
 
 @pytest.mark.slow

@@ -10,8 +10,8 @@ from chiralfilm.cli import _build_parser, main
 from chiralfilm.config import (
     ConfigError,
     build_objects,
-    load_config,
     preset_config,
+    read_config,
     resolve_config,
 )
 from chiralfilm.descent import random_field
@@ -194,7 +194,7 @@ def test_field_csv_roundtrip(tmp_path):
 def test_eval_energy_matches_library(tmp_path, capsys):
     out_dir = tmp_path / "eval"
     path = write_tiny_config(tmp_path, out_dir)
-    cfg = load_config(path)
+    cfg = resolve_config(read_config(path))
     run = build_objects(cfg)
     grid, target, pert = run.grid, run.target, run.pert
 
@@ -222,7 +222,7 @@ def test_eval_energy_matches_library(tmp_path, capsys):
 def test_eval_energy_thin_requires_eps(tmp_path, capsys):
     out_dir = tmp_path / "evalbad"
     path = write_tiny_config(tmp_path, out_dir)
-    cfg = load_config(path)
+    cfg = resolve_config(read_config(path))
     run = build_objects(cfg)
     grid, target = run.grid, run.target
     thin = random_field(grid, target, "thin", n_s=4, seed=6)
@@ -236,7 +236,7 @@ def test_eval_energy_thin_requires_eps(tmp_path, capsys):
 def test_eval_energy_rejects_eps_without_thin_form(tmp_path, capsys, form):
     out_dir = tmp_path / "evaleps"
     path = write_tiny_config(tmp_path, out_dir)
-    run = build_objects(load_config(path))
+    run = build_objects(resolve_config(read_config(path)))
     field_path = tmp_path / "field.csv"
     write_field_csv(run.grid, random_field(run.grid, run.target, "surface", seed=5),
                     str(field_path))
@@ -307,7 +307,7 @@ def test_sweep_command_artifacts_and_determinism(tmp_path):
     assert (out_dir / "fields" / "eps_0.2.csv").exists()
     assert (out_dir / "config.echo.json").exists()
     echoed = json.loads((out_dir / "config.echo.json").read_text())
-    assert echoed == load_config(path)
+    assert echoed == resolve_config(read_config(path))
 
     assert main(["sweep", "--config", path, "--quiet"]) == 0
     assert (out_dir / "report.json").read_bytes() == report_bytes

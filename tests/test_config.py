@@ -204,9 +204,21 @@ def test_rejected_values(change, path):
         resolve_config({**copy.deepcopy(TINY), **change})
 
 
-def test_integral_float_is_an_integer():
-    raw = {**copy.deepcopy(TINY), "surface": {"kind": "sphere", "n_u": 4.0}}
-    assert resolve_config(raw)["surface"]["n_u"] == 4.0
+def test_integral_float_is_rejected(tmp_path, capsys):
+    # a float such as 8.0 in an integer key stops the run at its path, before
+    # the library meets it where only an int will do
+    for section, key in [("surface", "n_u"), ("surface", "n_v"), ("sweep", "n_s"),
+                         ("sweep", "restarts"), ("minimizer", "max_iterations"), (None, "seed")]:
+        raw = {**copy.deepcopy(TINY), "minimizer": {"max_iterations": 5},
+               "sweep": {"n_s": 4, "restarts": 1}, "seed": 3, "output_dir": str(tmp_path / key)}
+        owner = raw[section] if section else raw
+        owner[key] = float(owner[key])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(path), "--quiet"]) == 1, key
+        err = capsys.readouterr().err
+        assert f"config invalid at {section + '/' if section else ''}{key}:" in err, err
+        assert "Traceback" not in err
 
 
 NON_FINITE = [("surface", "radius"), ("minimizer", "grad_tol"), ("perturbation", "kappa")]

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chiralfilm.config import _KINDS
 from chiralfilm.descent import random_field
 from chiralfilm.energies import (
     DirectorField,
     EnergyError,
     LimitEnergy,
     ThinFilmEnergy,
-    direct_tubular_energy,
     h1_distance,
     limit_energy,
     optimal_corrector,
@@ -20,7 +20,6 @@ from chiralfilm.energies import (
 from chiralfilm.perturbations import (
     AnisotropicDMI,
     BulkDMI,
-    CustomPerturbation,
     IDENTITY_TENSOR,
     EllipticTensor,
     InterfacialDMI,
@@ -28,13 +27,14 @@ from chiralfilm.perturbations import (
     TemperatureDMI,
     ZeroPerturbation,
     frame_sample,
-    right_cross_matrix,
 )
 from chiralfilm.surfaces import SurfaceSpec, build_surface
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
+from oracles import direct_tubular_energy, per_node_limit_breakdown, per_node_thin_breakdown
 
 SPHERE = SphereTarget(1.0)
 ELLIPSOID = EllipsoidTarget([2.0, 1.0, 1.0])
+COUPLING = [[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]]
 
 
 def band_integral_of_one_plus_nz2(theta_cap, n=200000):
@@ -350,15 +350,16 @@ def assert_gradient_matches_finite_differences(model, values, rng, points):
 
 @pytest.mark.parametrize("layout", ["surface", "thin"])
 def test_gradient_matches_finite_differences(small_torus, layout, rng):
-    pert = InterfacialDMI(1.1)
     tensor = EllipticTensor("scalar_field", ScalarSurfaceField("banded", c0=1.2, c1=0.2))
-    if layout == "surface":
-        f = random_field(small_torus, ELLIPSOID, "surface", seed=16)
-        model = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor)
-    else:
-        f = random_field(small_torus, ELLIPSOID, "thin", n_s=6, seed=16)
-        model = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor)
-    assert_gradient_matches_finite_differences(model, f.values, rng, points=10)
+    saturation = ScalarSurfaceField("affine", c0=1.5, c=(0.1, -0.2, 0.3))
+    for pert in (InterfacialDMI(1.1), TemperatureDMI(saturation, COUPLING)):
+        if layout == "surface":
+            f = random_field(small_torus, ELLIPSOID, "surface", seed=16)
+            model = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor)
+        else:
+            f = random_field(small_torus, ELLIPSOID, "thin", n_s=6, seed=16)
+            model = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor)
+        assert_gradient_matches_finite_differences(model, f.values, rng, points=10)
 
 
 coupling = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
@@ -434,37 +435,10 @@ def test_general_gradient_at_identity_matches_plain(small_torus):
     assert np.array_equal(g_plain, g_ident)
 
 
-def test_custom_perturbation_gradient_fd_fallback(small_torus, rng):
-    # nonlinear custom K exercises the finite-difference derivative fallback
-    custom = CustomPerturbation(
-        lambda ctx, s: right_cross_matrix(s) * (1.0 + np.sum(s * s, axis=-1))[..., None, None]
-    )
-    for layout in ("surface", "thin"):
-        f = random_field(small_torus, SPHERE, layout, n_s=6, seed=19)
-        if layout == "surface":
-            model = LimitEnergy(small_torus, SPHERE, custom)
-        else:
-            model = ThinFilmEnergy(small_torus, custom, 0.1, 6)
-        grad = model.gradient(f.values)
-        step = 1e-5
-        for _ in range(5):
-            idx = tuple(int(rng.integers(0, s)) for s in f.values.shape[:-1])
-            for comp in range(3):
-                plus = f.values.copy()
-                plus[idx + (comp,)] += step
-                minus = f.values.copy()
-                minus[idx + (comp,)] -= step
-                fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
-                ga = grad[idx + (comp,)]
-                assert abs(ga - fd) <= 1e-5 * max(abs(ga), abs(fd), 1.0), layout
-
-
 def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
-    custom = CustomPerturbation(
-        lambda ctx, s: right_cross_matrix(s) * (1.0 + np.sum(s * s, axis=-1))[..., None, None]
-    )
+    temperature = TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)), COUPLING)
     tensor = EllipticTensor("scalar_field", ScalarSurfaceField("banded", c0=1.2, c1=0.2))
-    for pert, tens in ((BulkDMI(1.0), IDENTITY_TENSOR), (custom, tensor)):
+    for pert, tens in ((BulkDMI(1.0), IDENTITY_TENSOR), (temperature, tensor)):
         for layout in ("surface", "thin"):
             def fresh():
                 if layout == "surface":
@@ -493,20 +467,28 @@ def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
 
 @pytest.mark.parametrize("layout", ["surface", "thin"])
 def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
-    # the same linear K through the stored basis and through per-iterate evaluation
-    pert = AnisotropicDMI([[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]])
-    generic = CustomPerturbation(pert.kmatrix)
+    # every config perturbation kind through the stored frame basis and through
+    # an assembly that evaluates K at each node's value
+    saturation = ScalarSurfaceField("affine", 1.5, (0.0, 0.0, 0.3))
+    perts = {
+        "zero": ZeroPerturbation(),
+        "bulk_dmi": BulkDMI(1.3),
+        "interfacial_dmi": InterfacialDMI(0.9),
+        "anisotropic_dmi": AnisotropicDMI(COUPLING),
+        "temperature": TemperatureDMI(saturation, COUPLING),
+    }
+    assert set(perts) == set(_KINDS["perturbation"])
+    tensor = EllipticTensor("scalar_field", saturation)
     f = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=22)
-    tensor = EllipticTensor("scalar_field", ScalarSurfaceField("affine", 1.5, (0.0, 0.0, 0.3)))
-    if layout == "surface":
-        models = [LimitEnergy(small_torus, ELLIPSOID, p, tensor=tensor) for p in (pert, generic)]
-    else:
-        models = [ThinFilmEnergy(small_torus, p, 0.1, 6, tensor=tensor) for p in (pert, generic)]
-    (bd_a, g_a), (bd_b, g_b) = (m.breakdown_and_gradient(f.values) for m in models)
-    assert bd_a.tangential == pytest.approx(bd_b.tangential, rel=1e-12)
-    assert bd_a.normal_or_anisotropy == pytest.approx(bd_b.normal_or_anisotropy, rel=1e-12)
-    # the per-iterate path differentiates K by central differences (step 1e-7)
-    assert np.max(np.abs(g_a - g_b)) <= 1e-7 * np.max(np.abs(g_a))
+    for kind, pert in perts.items():
+        if layout == "surface":
+            got = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor).breakdown(f.values)
+            want = per_node_limit_breakdown(small_torus, ELLIPSOID, pert, tensor, f.values)
+        else:
+            got = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor).breakdown(f.values)
+            want = per_node_thin_breakdown(small_torus, pert, 0.1, tensor, f.values)
+        assert got.tangential == pytest.approx(want.tangential, rel=1e-12), kind
+        assert got.normal_or_anisotropy == pytest.approx(want.normal_or_anisotropy, rel=1e-12), kind
 
 
 @pytest.mark.parametrize("surface_kind", ["sphere", "torus"])

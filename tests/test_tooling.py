@@ -1,16 +1,22 @@
-"""The benchmark scripts under `benchmarks/` reach into the package by name.
+"""Checks on how the package and the benchmark scripts fit together.
 
-These tests run the parts they depend on, so that a change to the package
-that breaks `benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails
-here.  They read `benchmarks/` and change nothing in it.
+The benchmark scripts under `benchmarks/` reach into the package by name, so
+one test runs the parts they depend on: a change to the package that breaks
+`benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails here.  Another
+keeps the package free of code only the tests call.  Both read `benchmarks/`
+and change nothing in it.
 """
 
+import ast
 import math
 import os
+import re
 from pathlib import Path
 from unittest import mock
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
+PACKAGE = ROOT / "src" / "chiralfilm"
 
 
 def test_benchmark_tools_find_what_they_patch(monkeypatch):
@@ -33,3 +39,27 @@ def test_benchmark_tools_find_what_they_patch(monkeypatch):
     rows = kernels.rows_for(16)
     assert len(rows) == 8
     assert all(row["n"] == 16 and math.isfinite(row["best_ms"]) for row in rows)
+
+
+def _defined_names(tree):
+    """Top-level functions and classes, and the methods of those classes; dunders are
+    called by Python itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("__"))
+
+
+def test_package_defines_only_what_src_or_benchmarks_use():
+    sources = (*PACKAGE.rglob("*.py"), *BENCHMARKS.rglob("*.py"))
+    lines = [line for p in sources for line in p.read_text().splitlines()]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _defined_names(ast.parse(path.read_text())):
+            word = re.compile(rf"\b{name}\b")
+            own = re.compile(rf"^\s*(def|class) {name}\b")
+            if not any(word.search(line) and not own.match(line) for line in lines):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, f"defined under src/chiralfilm but used only by tests, if at all: {unused}"
