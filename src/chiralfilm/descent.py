@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import DirectorField, EnergyBreakdown, s_quadrature
-from .targets import tangent_part
+from .targets import TargetError, tangent_part
 
 
 class NumericalFailure(RuntimeError):
@@ -327,8 +327,9 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
 def random_field(grid, target, layout: str, n_s: int = None, seed: int = 0) -> DirectorField:
     """Reproducible random field: per-node projection of Gaussian samples.
 
-    Samples landing within 1e-3 of the inadmissible set of the projection
-    (the center for a sphere, the medial axis for an ellipsoid) are redrawn.
+    Samples within 1e-3 of the origin are redrawn.  Where projection raises
+    TargetError (for an ellipsoid, near its medial axis), the samples that
+    fail are redrawn one by one; any other error propagates.
     """
     rng = np.random.default_rng(seed)
     if layout == "surface":
@@ -357,12 +358,12 @@ def random_field(grid, target, layout: str, n_s: int = None, seed: int = 0) -> D
         try:
             out[todo] = target.project(flat[todo])
             ok[todo] = True
-        except Exception:
+        except TargetError:
             for idx in np.flatnonzero(todo):
                 try:
                     out[idx] = target.project(flat[idx])
                     ok[idx] = True
-                except Exception:
+                except TargetError:
                     flat[idx] = rng.standard_normal(3)
     if not np.all(ok):
         raise NumericalFailure("random field sampling failed to find admissible points")

@@ -31,9 +31,9 @@ def tangent_part(n, v):
 class TargetManifold:
     """Interface for a closed constraint manifold in R^3.
 
-    Users may supply their own subclass; the library validates projection
-    idempotence and stationarity but cannot verify global nearest-point
-    uniqueness for custom targets.
+    Users may supply their own subclass.  Its project raises TargetError where
+    the nearest point is undefined or not found; nothing checks that a custom
+    projection is idempotent, stationary or globally nearest.
     """
 
     admissible_radius: float
@@ -86,75 +86,74 @@ class SphereTarget(TargetManifold):
 class EllipsoidTarget(TargetManifold):
     """Axis-aligned ellipsoid sum((x_i/a_i)^2) = 1.
 
-    Projection solves the single Lagrange-multiplier equation with a
-    safeguarded Newton iteration (bisection fallback inside the bracket).
+    Projection solves the single Lagrange-multiplier equation by Newton's
+    method on a concave form of it, which needs no bracket or fallback.
     """
 
-    def __init__(self, semi_axes, tol: float = 1e-12, max_iter: int = 50):
+    tol = 1e-12
+    max_iter = 50
+
+    def __init__(self, semi_axes):
         axes = np.asarray(semi_axes, dtype=float)
         if axes.shape != (3,) or np.any(axes <= 0):
             raise TargetError("ellipsoid needs three positive semi-axes")
         self.semi_axes = axes
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         # the normal tube is a tubular neighborhood only inside the reach
         # min(a)^2 / max(a), which is below 0.5 min(a) when min(a) < 0.5 max(a)
         a_min, a_max = float(np.min(axes)), float(np.max(axes))
         self.admissible_radius = min(0.5 * a_min, 0.9 * a_min * a_min / a_max)
         self._a2 = axes * axes
+        self._shift = self._a2 - np.min(self._a2)
 
     def _multiplier(self, y):
-        """Root of g(t) = sum(a_i^2 y_i^2 / (t + a_i^2)^2) - 1 on (-min a^2, inf).
+        """Root x > 0 of S(x) = sum(a_i^2 y_i^2 / (x + c_i)^2) = 1, c = a^2 - min a^2.
 
+        x = t + min a^2 puts the pole at 0, so x keeps its relative precision
+        next to the medial axis.  Newton runs on S^(-1/2) - 1, a weighted power
+        mean of the x + c_i, so concave and increasing: a step from either side
+        of the root lands left of it, and from there the steps rise to it.  The
+        clamp at max_i(a_i |y_i| - c_i), where S >= 1, keeps steps off the pole.
         Newton starts at t = 0, the root for a point on the surface, and each
-        pass works only on the points whose |g| is still at or above tol.
+        pass works only on the points whose |S - 1| is still at or above tol.
         """
-        a2 = self._a2
+        c = self._shift
         flat = y.reshape(-1, 3)
         # numerator weights a_i^2 y_i^2, one contiguous array per component
-        w = [a2[i] * flat[:, i] * flat[:, i] for i in range(3)]
-        lo = np.full(len(flat), -np.min(a2) * (1.0 - 1e-12))
-        hi = np.maximum(np.sqrt(w[0] + w[1] + w[2]), lo + np.min(a2) * 1e-9)
+        w = [self._a2[i] * flat[:, i] * flat[:, i] for i in range(3)]
+        floor = np.min(self._a2) * 1e-12
+        low = np.maximum(np.max(self.semi_axes * np.abs(flat) - c, axis=1), floor)
 
-        def g_and_dg(t, w):
-            d = [t + a2[i] for i in range(3)]
+        def s_and_slope(x, w):
+            d = [x + c[i] for i in range(3)]
             q = [w[i] / (d[i] * d[i]) for i in range(3)]
-            return q[0] + q[1] + q[2] - 1.0, -2.0 * (q[0] / d[0] + q[1] / d[1] + q[2] / d[2])
+            return q[0] + q[1] + q[2], q[0] / d[0] + q[1] / d[1] + q[2] / d[2]
 
-        g_lo, _ = g_and_dg(lo, w)
-        if np.any(g_lo <= 0.0):
+        if np.any(s_and_slope(floor, w)[0] <= 1.0):
             raise TargetError(
                 "projection undefined: point too close to the medial axis of the ellipsoid"
             )
         out = np.empty(len(flat))
         active = np.arange(len(flat))
-        t = np.zeros(len(flat))
+        x = np.full(len(flat), np.min(self._a2))
         for _ in range(self.max_iter):
-            g, dg = g_and_dg(t, w)
-            done = np.abs(g) < self.tol
+            s, slope = s_and_slope(x, w)
+            done = np.abs(s - 1.0) < self.tol
             if done.any():
-                out[active[done]] = t[done]
+                out[active[done]] = x[done]
                 keep = ~done
-                active, t, lo, hi, g, dg = (a[keep] for a in (active, t, lo, hi, g, dg))
+                active, x, low, s, slope = (v[keep] for v in (active, x, low, s, slope))
                 w = [wi[keep] for wi in w]
             if not len(active):
                 break
-            lo = np.where(g > 0.0, t, lo)
-            hi = np.where(g < 0.0, t, hi)
-            t_new = t - g / dg
-            bad = (t_new <= lo) | (t_new >= hi) | ~np.isfinite(t_new)
-            t = np.where(bad, 0.5 * (lo + hi), t_new)
+            x = np.maximum(x + s * (np.sqrt(s) - 1.0) / slope, low)
         else:
-            g, _ = g_and_dg(t, w)
-            if np.any(np.abs(g) >= np.sqrt(self.tol)):
-                raise TargetError("ellipsoid projection did not converge")
-            out[active] = t
+            raise TargetError("ellipsoid projection did not converge")
         return out.reshape(y.shape[:-1])
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
-        t = self._multiplier(y)
-        return self._a2 * y / (t[..., None] + self._a2)
+        x = self._multiplier(y)
+        return self._a2 * y / (x[..., None] + self._shift)
 
     def normal(self, sigma):
         sigma = np.asarray(sigma, dtype=float)

@@ -143,6 +143,16 @@ def test_random_field_reproducible_and_on_manifold(small_torus):
     assert np.max(np.abs(constraint - 1.0)) < 1e-9
 
 
+def test_random_field_propagates_errors_other_than_target_error():
+    class BrokenTarget(SphereTarget):
+        def project(self, y):
+            raise ZeroDivisionError("bug in a custom projection")
+
+    grid = build_surface(SurfaceSpec("flat_patch", 4, 4))
+    with pytest.raises(ZeroDivisionError, match="bug in a custom projection"):
+        random_field(grid, BrokenTarget(1.0), "surface", seed=0)
+
+
 def test_random_field_needs_ns_for_thin(small_torus):
     with pytest.raises(ValueError):
         random_field(small_torus, SPHERE, "thin")

@@ -364,6 +364,11 @@ def test_gradient_matches_finite_differences(small_torus, layout, rng):
 
 coupling = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
                     min_size=3, max_size=3)
+# the affine saturation c0 + c.x with c0 >= 1 and |c_i| <= this bound stays
+# positive on every default surface (R = 2.5 at the torus's outer equator)
+SATURATION_SLOPE = 0.2
+SURFACE_KINDS = ["sphere", "torus", "cylinder", "flat_patch"]
+GRID_SIZES = range(4, 11)  # n_u and n_v the gradient property draws
 perturbations = st.one_of(
     st.just(ZeroPerturbation()),
     st.floats(-2.0, 2.0).map(BulkDMI),
@@ -371,7 +376,7 @@ perturbations = st.one_of(
     coupling.map(AnisotropicDMI),
     st.builds(lambda c0, c, m: TemperatureDMI(ScalarSurfaceField("affine", c0=c0, c=c), m),
               st.floats(1.0, 2.0),
-              st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+              st.tuples(*[st.floats(-SATURATION_SLOPE, SATURATION_SLOPE)] * 3),
               coupling),
 )
 tensors = st.one_of(
@@ -381,9 +386,22 @@ tensors = st.one_of(
 )
 
 
+def test_perturbation_strategy_keeps_saturation_positive():
+    # the strategy's worst corners: c0 = 1 and c_i = +-bound in every sign pattern
+    for kind in SURFACE_KINDS:
+        for n_u in GRID_SIZES:
+            for n_v in GRID_SIZES:
+                grid = build_surface(SurfaceSpec(kind, n_u, n_v))
+                for signs in np.ndindex(2, 2, 2):
+                    c = tuple(SATURATION_SLOPE * (2 * np.array(signs) - 1))
+                    pert = TemperatureDMI(ScalarSurfaceField("affine", c0=1.0, c=c), COUPLING)
+                    assert np.min(pert.ms_values(grid)) > 0.0
+
+
 @pytest.mark.parametrize("layout", ["surface", "thin"])
-@given(kind=st.sampled_from(["sphere", "torus", "cylinder", "flat_patch"]),
-       n_u=st.integers(4, 10), n_v=st.integers(4, 10), n_s=st.integers(4, 6),
+@given(kind=st.sampled_from(SURFACE_KINDS),
+       n_u=st.integers(GRID_SIZES[0], GRID_SIZES[-1]),
+       n_v=st.integers(GRID_SIZES[0], GRID_SIZES[-1]), n_s=st.integers(4, 6),
        target=st.sampled_from([SPHERE, ELLIPSOID]), pert=perturbations, tensor=tensors,
        seed=st.integers(0, 2**16))
 def test_gradient_matches_finite_differences_property(layout, kind, n_u, n_v, n_s, target,

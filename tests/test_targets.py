@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -45,6 +47,39 @@ def brute_force_nearest(axes, y, levels=3):
         t_lo, t_hi = max(1e-8, theta[k[0]] - 2 * dt), min(np.pi - 1e-8, theta[k[0]] + 2 * dt)
         p_lo, p_hi = phi[k[1]] - 2 * dp, phi[k[1]] + 2 * dp
     return best
+
+
+def reference_projection(axes, y):
+    """Nearest point on the ellipsoid for a point y inside it, off its medial set.
+
+    Bisection at 50 significant digits on sum(a_i^2 y_i^2 / (x + c_i)^2) = 1,
+    c = a^2 - min(a^2): the left side falls from infinity at x = 0 (y has a
+    non-zero shortest-axis coordinate) to at most 1 at x = |a * y|.  200
+    halvings pin x to 2^-200 of that bracket, far below double precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a2 = [Decimal(float(v)) ** 2 for v in axes]
+        c = [v - min(a2) for v in a2]
+        w = [a2[i] * Decimal(float(y[i])) ** 2 for i in range(3)]
+        lo, hi = Decimal(0), sum(w).sqrt()
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if sum(w[i] / (mid + c[i]) ** 2 for i in range(3)) > 1:
+                lo = mid
+            else:
+                hi = mid
+        x = (lo + hi) / 2
+        return np.array([float(a2[i] * Decimal(float(y[i])) / (x + c[i])) for i in range(3)])
+
+
+def near_medial_points(rng, axes, n):
+    """Points inside the ellipsoid whose shortest-axis coordinate is +-1e-10 to 1e-2."""
+    v = rng.standard_normal((n, 3))
+    v *= rng.uniform(0.0, 1.0, (n, 1)) ** (1 / 3) / np.linalg.norm(v, axis=1, keepdims=True)
+    y = np.asarray(axes) * v
+    y[:, np.argmin(axes)] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10.0, -2.0, n)
+    return y
 
 
 def signed_distance(target, y):
@@ -197,7 +232,8 @@ def test_ellipsoid_batch_rows_match_single_points(rng):
 
 def test_ellipsoid_newton_starts_on_the_surface(rng):
     axes = [1.2, 1.0, 0.8]
-    ell = EllipsoidTarget(axes, max_iter=2)
+    ell = EllipsoidTarget(axes)
+    ell.max_iter = 2
     sigma = EllipsoidTarget(axes).project(rng.standard_normal((200, 3)))
     assert np.max(np.abs(ell.project(sigma) - sigma)) <= 1e-15
     with pytest.raises(TargetError, match="did not converge"):
@@ -265,3 +301,36 @@ def test_ellipsoid_rejects_medial_axis():
     ell = EllipsoidTarget([2.0, 1.0, 1.0])
     with pytest.raises(TargetError):
         ell.project(np.zeros(3))
+
+
+def test_ellipsoid_projects_a_point_next_to_the_medial_plane():
+    # 5.6e-9 from the plane of the shortest axis, inside the ellipsoid
+    axes = np.array([1.2, 1.0, 0.8])
+    y = np.array([-0.330219848, 0.00856945472, -5.59140527e-09])
+    sigma = EllipsoidTarget(axes).project(y)
+    assert np.linalg.norm(sigma - reference_projection(axes, y)) <= 1e-12
+
+
+def _reference_error(axes, y):
+    sigma = EllipsoidTarget(axes).project(y)
+    ref = np.array([reference_projection(axes, p) for p in y])
+    return np.max(np.linalg.norm(sigma - ref, axis=-1))
+
+
+def test_ellipsoid_projection_near_the_medial_plane_against_reference(rng):
+    preset = np.array([1.2, 1.0, 0.8])
+    assert _reference_error(preset, near_medial_points(rng, preset, 200)) <= 1e-12
+    for _ in range(20):
+        axes = rng.uniform(0.3, 2.0, 3)
+        err = _reference_error(axes, near_medial_points(rng, axes, 10))
+        assert err <= np.max(axes) * EllipsoidTarget.tol
+
+
+@given(axes=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0, 100.0))
+def test_ellipsoid_projection_converges_near_the_medial_plane_and_far_out(axes, seed, scale):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([near_medial_points(rng, axes, 100), scale * rng.standard_normal((100, 3))])
+    ell = EllipsoidTarget(axes)
+    sigma = ell.project(y)
+    assert np.max(np.abs(np.sum((sigma / ell.semi_axes) ** 2, axis=-1) - 1.0)) < ell.tol + 1e-15
