@@ -28,15 +28,11 @@ def _build_parser():
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     common.add_argument("--json", action="store_true", dest="json_out",
                         help="machine-readable stdout only")
-    parser = _Parser(
-        prog="chiralfilm",
-        description="Chiral Dirichlet energies on curved thin films",
-        parents=[common],
-    )
+    parser = _Parser(prog="chiralfilm", description="Chiral Dirichlet energies on curved thin films")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], conflict_handler="resolve", **kwargs)
+        return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("preset", help="write a ready-to-run configuration")
     p.add_argument("name", choices=["bulk", "interfacial", "anisotropic", "temperature"])
@@ -162,7 +158,7 @@ def _cmd_describe_surface(args):
 
 def _cmd_eval_energy(args):
     from .config import build_objects
-    from .energies import limit_energy, thin_film_energy
+    from .energies import LimitEnergy, ThinFilmEnergy
     from .reporting import read_field_csv
 
     _check_eps(args)
@@ -170,9 +166,10 @@ def _cmd_eval_energy(args):
     run = build_objects(cfg)
     field = read_field_csv(run.grid, args.field)
     if args.form == "thin":
-        bd = thin_film_energy(run.grid, run.pert, args.eps, field, tensor=run.tensor)
+        model = ThinFilmEnergy(run.grid, run.pert, args.eps, field.n_s, tensor=run.tensor)
     else:
-        bd = limit_energy(run.grid, run.target, run.pert, field, tensor=run.tensor)
+        model = LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
+    bd = model.breakdown(field.values)
     _echo_config(cfg, cfg["output_dir"])
     _emit(args, bd.as_dict())
     return 0

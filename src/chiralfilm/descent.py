@@ -239,11 +239,10 @@ def _two_loop(g, pairs, gamma, solve):
 def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = MinimizeOptions()):
     """Minimize model.breakdown over fields constrained to the target manifold.
 
-    A start not flagged `on_target` is projected first.  Returns
-    (DirectorField, MinimizeReport); every iterate lies on the target.
+    A start not flagged `on_target` is projected first; a start whose shape
+    does not fit the model raises EnergyError.  Returns (DirectorField,
+    MinimizeReport); every iterate lies on the target.
     """
-    if initial.layout != model.layout:
-        raise ValueError(f"initial layout {initial.layout!r} does not match the energy form")
     x = initial.values if initial.on_target else target.project(initial.values)
     bd, g_raw = model.breakdown_and_gradient(x)
     if not np.isfinite(bd.total):
@@ -321,17 +320,17 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
         report.iterations = it + 1
 
     report.energy, report.grad_norm = bd, gnorm
-    return DirectorField(values=x, layout=initial.layout, on_target=True), report
+    return DirectorField(x, on_target=True), report
 
 
 def random_field(grid, target, layout: str, n_s: int = None, seed: int = 0) -> DirectorField:
     """Reproducible random field: per-node projection of Gaussian samples.
 
-    Samples within 1e-3 of the origin are redrawn.  Where projection raises
-    TargetError (for an ellipsoid, near its medial axis), the samples that
-    fail are redrawn one by one; any other error propagates.
+    layout is "surface" or "thin" (which needs n_s).  While the projection
+    raises TargetError (a sample next to the center of a sphere or, for an
+    ellipsoid, near its medial axis), the whole draw is redrawn; any other
+    error propagates.
     """
-    rng = np.random.default_rng(seed)
     if layout == "surface":
         shape = grid.shape + (3,)
     elif layout == "thin":
@@ -341,30 +340,10 @@ def random_field(grid, target, layout: str, n_s: int = None, seed: int = 0) -> D
         shape = grid.shape + (n_s, 3)
     else:
         raise ValueError(f"unknown layout {layout!r}")
-
-    raw = rng.standard_normal(shape)
+    rng = np.random.default_rng(seed)
     for _ in range(100):
-        bad = np.sqrt(np.sum(raw * raw, axis=-1)) < 1e-3
-        if not np.any(bad):
-            break
-        raw[bad] = rng.standard_normal((int(np.sum(bad)), 3))
-    flat = raw.reshape(-1, 3)
-    out = np.empty_like(flat)
-    ok = np.zeros(flat.shape[0], dtype=bool)
-    for _ in range(100):
-        todo = ~ok
-        if not np.any(todo):
-            break
         try:
-            out[todo] = target.project(flat[todo])
-            ok[todo] = True
+            return DirectorField(target.project(rng.standard_normal(shape)), on_target=True)
         except TargetError:
-            for idx in np.flatnonzero(todo):
-                try:
-                    out[idx] = target.project(flat[idx])
-                    ok[idx] = True
-                except TargetError:
-                    flat[idx] = rng.standard_normal(3)
-    if not np.all(ok):
-        raise NumericalFailure("random field sampling failed to find admissible points")
-    return DirectorField(values=out.reshape(shape), layout=layout, on_target=True)
+            pass
+    raise NumericalFailure("random field sampling failed to find admissible points")

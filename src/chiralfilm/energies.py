@@ -65,50 +65,32 @@ def s_quadrature(n_s: int):
 
 @dataclass
 class DirectorField:
-    """Grid of direction vectors, either on N or on N x s-layers.
+    """Grid of direction vectors: (n_u, n_v, 3) on N, or (n_u, n_v, n_s, 3)
+    on N x s-layers; the layout is read from the rank.
 
     `on_target` records that the values are already projected onto the
     target, so `minimize` starts from them as they are.
     """
 
     values: np.ndarray
-    layout: str  # "surface" | "thin"
     on_target: bool = False
 
     def __post_init__(self):
-        if self.layout == "surface":
-            if self.values.ndim != 3 or self.values.shape[-1] != 3:
-                raise EnergyError("surface field needs shape (n_u, n_v, 3)")
-        elif self.layout == "thin":
-            if self.values.ndim != 4 or self.values.shape[-1] != 3:
-                raise EnergyError("thin field needs shape (n_u, n_v, n_s, 3)")
-            if self.values.shape[2] < 4:
-                raise EnergyError("thin field needs at least 4 s-layers")
-        else:
-            raise EnergyError(f"unknown layout {self.layout!r}")
+        shape = self.values.shape
+        if len(shape) not in (3, 4) or shape[-1] != 3:
+            raise EnergyError(f"field needs shape (n_u, n_v, 3) or (n_u, n_v, n_s, 3), got {shape}")
+        if len(shape) == 4 and shape[2] < 4:
+            raise EnergyError("thin field needs at least 4 s-layers")
 
-    @classmethod
-    def surface(cls, values, target=None):
-        values = np.asarray(values, dtype=float)
-        if target is not None:
-            values = target.project(values)
-        return cls(values=values, layout="surface", on_target=target is not None)
-
-    @classmethod
-    def thin(cls, values, target=None):
-        values = np.asarray(values, dtype=float)
-        if target is not None:
-            values = target.project(values)
-        return cls(values=values, layout="thin", on_target=target is not None)
+    @property
+    def layout(self):
+        return "thin" if self.values.ndim == 4 else "surface"
 
     @property
     def n_s(self):
         if self.layout != "thin":
             raise EnergyError("surface fields carry no s-layers")
         return self.values.shape[2]
-
-    def s_layers(self):
-        return np.linspace(-1.0, 1.0, self.n_s)
 
 
 def frame_images(kmat, ctx):
@@ -188,6 +170,17 @@ def _thin_derivatives(grid, diff_s, values):
         grid.tangential_derivative(values, 1),
         apply_difference(diff_s, values, 2),
     ]
+
+
+def _thin_h1_parts(grid, s_weights, diff_s, values):
+    """(L^2, tangential, s) squared H^1 parts of a field on N x I under the
+    plain product measure (no metric factors)."""
+    d1, d2, dsv = _thin_derivatives(grid, diff_s, values)
+    w = grid.area_weight[..., None] * s_weights[None, None, :]
+    mass = float(np.sum(w * np.sum(values * values, axis=-1)))
+    tang = float(np.sum(w * (np.sum(d1 * d1, axis=-1) + np.sum(d2 * d2, axis=-1))))
+    sder = float(np.sum(w * np.sum(dsv * dsv, axis=-1)))
+    return mass, tang, sder
 
 
 class LimitEnergy:
@@ -305,11 +298,7 @@ class ThinFilmEnergy:
     def seminorm_shares(self, values):
         """(tangential, s) squared H^1 seminorms of the raw field on N x I."""
         self._check(values)
-        d1, d2, dsv = _thin_derivatives(self.grid, self.diff_s, values)
-        w = self.grid.area_weight[..., None] * self.s_weights[None, None, :]
-        tang = float(np.sum(w * (np.sum(d1 * d1, axis=-1) + np.sum(d2 * d2, axis=-1))))
-        sder = float(np.sum(w * np.sum(dsv * dsv, axis=-1)))
-        return tang, sder
+        return _thin_h1_parts(self.grid, self.s_weights, self.diff_s, values)[1:]
 
     def gradient(self, values) -> np.ndarray:
         return self.breakdown_and_gradient(values)[1]
@@ -326,19 +315,6 @@ class ThinFilmEnergy:
         grad += grid.tangential_derivative_adjoint(r[1], 1)
         grad += apply_difference(self.diff_s.T, r[2], 2)
         return bd, grad
-
-
-def thin_film_energy(grid, pert, eps, field: DirectorField, tensor=IDENTITY_TENSOR) -> EnergyBreakdown:
-    if field.layout != "thin":
-        raise EnergyError("thin-film energy needs a thin field")
-    model = ThinFilmEnergy(grid, pert, eps, field.n_s, tensor=tensor)
-    return model.breakdown(field.values)
-
-
-def limit_energy(grid, target, pert, field: DirectorField, tensor=IDENTITY_TENSOR) -> EnergyBreakdown:
-    if field.layout != "surface":
-        raise EnergyError("limit energy needs a surface field")
-    return LimitEnergy(grid, target, pert, tensor=tensor).breakdown(field.values)
 
 
 def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TENSOR) -> np.ndarray:
@@ -373,7 +349,7 @@ def recovery_field(grid, target, u0: np.ndarray, d0: np.ndarray, eps: float, n_s
             values[:, :, k, :] = u0
         else:
             values[:, :, k, :] = target.project(u0 + (eps * sk) * d0)
-    return DirectorField(values=values, layout="thin", on_target=True)
+    return DirectorField(values, on_target=True)
 
 
 def h1_distance(grid, thin_field: DirectorField, surface_field: DirectorField) -> float:
@@ -385,12 +361,4 @@ def h1_distance(grid, thin_field: DirectorField, surface_field: DirectorField) -
         raise EnergyError("field grids do not match")
     diff = thin_field.values - surface_field.values[:, :, None, :]
     _, s_weights, diff_s = s_quadrature(thin_field.n_s)
-    d1, d2, dsd = _thin_derivatives(grid, diff_s, diff)
-    w = grid.area_weight[..., None] * s_weights[None, None, :]
-    dens = (
-        np.sum(diff * diff, axis=-1)
-        + np.sum(d1 * d1, axis=-1)
-        + np.sum(d2 * d2, axis=-1)
-        + np.sum(dsd * dsd, axis=-1)
-    )
-    return float(np.sqrt(np.sum(w * dens)))
+    return float(np.sqrt(sum(_thin_h1_parts(grid, s_weights, diff_s, diff))))

@@ -62,13 +62,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 
 def write_json(obj, path: str):
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write(dumps_canonical(obj))
-            handle.write("\n")
-    except OSError as exc:
-        raise ReportError(f"cannot write {path}: {exc}") from exc
+    write_text(dumps_canonical(obj) + "\n", path)
 
 
 def _fmt(x: float) -> str:
@@ -86,7 +80,7 @@ def write_field_csv(grid, field: DirectorField, path: str):
         tails = [_fmt(v) + "," for v in grid.v]
     else:
         header = "u,v,s,ux,uy,uz\n"
-        s = [_fmt(sk) + "," for sk in field.s_layers()]
+        s = [_fmt(sk) + "," for sk in s_quadrature(field.n_s)[0]]
         tails = [_fmt(v) + "," + sk for v in grid.v for sk in s]
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -110,6 +104,8 @@ def read_field_csv(grid, path: str) -> DirectorField:
             rows = np.loadtxt(handle, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ReportError(f"cannot read {path}: {exc}") from exc
+    if not np.all(np.isfinite(rows)):
+        raise EnergyError(f"field file {path} holds a non-finite value")
     n_u, n_v = grid.shape
     if header == ["u", "v", "ux", "uy", "uz"]:
         if rows.shape != (n_u * n_v, 5):
@@ -121,7 +117,7 @@ def read_field_csv(grid, path: str) -> DirectorField:
         if (np.max(np.abs(coords_u - grid.u[:, None])) > 1e-9
                 or np.max(np.abs(coords_v - grid.v[None, :])) > 1e-9):
             raise EnergyError("field file coordinates do not match the configured grid")
-        return DirectorField(values=rows[:, 2:].reshape(n_u, n_v, 3), layout="surface")
+        return DirectorField(rows[:, 2:].reshape(n_u, n_v, 3))
     if header == ["u", "v", "s", "ux", "uy", "uz"]:
         total = rows.shape[0]
         if total % (n_u * n_v) != 0:
@@ -133,7 +129,7 @@ def read_field_csv(grid, path: str) -> DirectorField:
                 or np.max(np.abs(coords[..., 1] - grid.v[None, :, None])) > 1e-9
                 or np.max(np.abs(coords[..., 2] - s_ref[None, None, :])) > 1e-9):
             raise EnergyError("thin field file coordinates do not match the configured grid")
-        return DirectorField(values=rows[:, 3:].reshape(n_u, n_v, n_s, 3), layout="thin")
+        return DirectorField(rows[:, 3:].reshape(n_u, n_v, n_s, 3))
     raise EnergyError(f"unrecognized field header {header}")
 
 

@@ -18,8 +18,6 @@ from chiralfilm.energies import (
     DirectorField,
     LimitEnergy,
     ThinFilmEnergy,
-    limit_energy,
-    thin_film_energy,
 )
 from chiralfilm.perturbations import (
     AnisotropicDMI,
@@ -55,7 +53,7 @@ def smooth_thin_field(grid, target, n_s, rng, scale=0.4):
         wiggle = grid.points @ lin.T
         raw = base[:, :, None, :] + s[None, None, :, None] * wiggle[:, :, None, :]
         if np.min(np.linalg.norm(raw, axis=-1)) > 0.3:
-            return DirectorField.thin(raw, target), (mat, shift, lin)
+            return DirectorField(target.project(raw), on_target=True), (mat, shift, lin)
     raise AssertionError("could not draw an admissible smooth field")
 
 
@@ -65,7 +63,7 @@ def resample_thin_field(grid, target, n_s, params):
     base = grid.points @ mat.T + shift
     wiggle = grid.points @ lin.T
     raw = base[:, :, None, :] + s[None, None, :, None] * wiggle[:, :, None, :]
-    return DirectorField.thin(raw, target)
+    return DirectorField(target.project(raw), on_target=True)
 
 
 def band_oracle_one_plus_nz2(theta_cap, n=400000):
@@ -92,14 +90,14 @@ def test_criterion_1_pullback_equivalence():
         fine = make(128)
         for trial in range(20):
             field, params = smooth_thin_field(coarse, target, 8, rng)
-            e_pull = thin_film_energy(coarse, pert, eps, field).total
+            e_pull = ThinFilmEnergy(coarse, pert, eps, field.n_s).breakdown(field.values).total
             e_direct = direct_tubular_energy(coarse, pert, eps, field)
             disc = abs(e_pull - e_direct) / max(e_pull, 1.0)
             worst = max(worst, disc)
             assert disc <= 5e-3
             if trial < 6:
                 refined = resample_thin_field(fine, target, 16, params)
-                e_pull_f = thin_film_energy(fine, pert, eps, refined).total
+                e_pull_f = ThinFilmEnergy(fine, pert, eps, refined.n_s).breakdown(refined.values).total
                 e_direct_f = direct_tubular_energy(fine, pert, eps, refined)
                 disc_f = abs(e_pull_f - e_direct_f) / max(e_pull_f, 1.0)
                 orders.append(np.log2(disc / disc_f))
@@ -227,10 +225,10 @@ def test_criterion_4_vanishing_identities():
 def test_criterion_5_analytic_band_value():
     """Constant-field energy matches the colatitude-quadrature oracle."""
     grid = build_surface(SurfaceSpec("sphere", 128, 128, radius=1.0, theta_cap=0.15))
-    const = DirectorField.surface(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.shape + (3,)).copy()
     )
-    bd = limit_energy(grid, SphereTarget(1.0), BulkDMI(1.0), const)
+    bd = LimitEnergy(grid, SphereTarget(1.0), BulkDMI(1.0)).breakdown(const.values)
     oracle = band_oracle_one_plus_nz2(0.15)
     rel = abs(bd.total - oracle) / oracle
     assert rel <= 1e-3
@@ -317,11 +315,12 @@ def test_criterion_8_generalized_limit_reduction():
     worst_ident = 0.0
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=80 + seed)
-        plain = limit_energy(grid, ellipsoid, pert, f)
-        ident = limit_energy(grid, ellipsoid, pert, f, tensor=EllipticTensor("identity"))
+        plain = LimitEnergy(grid, ellipsoid, pert).breakdown(f.values)
+        ident = LimitEnergy(grid, ellipsoid, pert,
+                            tensor=EllipticTensor("identity")).breakdown(f.values)
         assert plain.total == ident.total  # definitional reduction, bit-exact
         const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-        near = limit_energy(grid, ellipsoid, pert, f, tensor=const1)
+        near = LimitEnergy(grid, ellipsoid, pert, tensor=const1).breakdown(f.values)
         worst_ident = max(worst_ident, abs(near.total - plain.total) / max(plain.total, 1.0))
         assert worst_ident <= 1e-12
 
@@ -332,8 +331,8 @@ def test_criterion_8_generalized_limit_reduction():
     worst_temp = 0.0
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=90 + seed)
-        lhs = limit_energy(grid, ellipsoid, temp, f, tensor=tensor)
-        rhs = limit_energy(grid, ellipsoid, scaled, f)
+        lhs = LimitEnergy(grid, ellipsoid, temp, tensor=tensor).breakdown(f.values)
+        rhs = LimitEnergy(grid, ellipsoid, scaled).breakdown(f.values)
         rel = abs(lhs.total - c**2 * rhs.total) / max(abs(lhs.total), 1.0)
         worst_temp = max(worst_temp, rel)
         assert rel <= 1e-10

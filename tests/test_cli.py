@@ -15,7 +15,7 @@ from chiralfilm.config import (
     resolve_config,
 )
 from chiralfilm.descent import random_field
-from chiralfilm.energies import DirectorField, limit_energy, thin_film_energy
+from chiralfilm.energies import DirectorField, EnergyError, LimitEnergy, ThinFilmEnergy
 from chiralfilm.reporting import (
     dumps_canonical,
     read_field_csv,
@@ -162,7 +162,7 @@ def _per_cell_field_csv(grid, field):
                 lines.append(",".join(fmt(c) for c in cells) + "\n")
     else:
         lines.append("u,v,s,ux,uy,uz\n")
-        s = field.s_layers()
+        s = np.linspace(-1.0, 1.0, field.n_s)
         for i in range(grid.shape[0]):
             for j in range(grid.shape[1]):
                 for k in range(field.n_s):
@@ -182,7 +182,7 @@ def test_field_csv_roundtrip(tmp_path):
         values = rng.standard_normal(shape)
         flat = values.reshape(-1)
         flat[rng.choice(flat.size, size=4 * special.size, replace=False)] = np.repeat(special, 4)
-        field = DirectorField(values=values, layout=layout)
+        field = DirectorField(values)
         path = tmp_path / f"{layout}.csv"
         write_field_csv(grid, field, str(path))
         assert path.read_bytes() == _per_cell_field_csv(grid, field).encode()
@@ -204,7 +204,7 @@ def test_eval_energy_matches_library(tmp_path, capsys):
     assert main(["eval-energy", "--config", path, "--form", "limit",
                  "--field", str(field_path), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    expected = limit_energy(grid, target, pert, field)
+    expected = LimitEnergy(grid, target, pert).breakdown(field.values)
     assert got["tangential"] == expected.tangential
     assert got["normal_or_anisotropy"] == expected.normal_or_anisotropy
     assert got["total"] == expected.total
@@ -215,7 +215,7 @@ def test_eval_energy_matches_library(tmp_path, capsys):
     assert main(["eval-energy", "--config", path, "--form", "thin", "--eps", "0.1",
                  "--field", str(thin_path), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    expected = thin_film_energy(grid, pert, 0.1, thin)
+    expected = ThinFilmEnergy(grid, pert, 0.1, thin.n_s).breakdown(thin.values)
     assert got["total"] == expected.total
 
 
@@ -425,6 +425,40 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert exc.value.code == 0, argv
     capsys.readouterr()
+
+
+def test_output_flags_belong_to_the_subcommand(tmp_path, capsys):
+    # --quiet and --json are subcommand flags; before the subcommand they were
+    # once parsed and then silently reset by the subcommand's defaults
+    parser = _build_parser()
+    for flag, dest in (("--quiet", "quiet"), ("--json", "json_out")):
+        assert getattr(parser.parse_args(["preset", "bulk", flag]), dest) is True
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "preset", "bulk", "--out", str(tmp_path / "bulk.json")])
+        assert exc.value.code == 1, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "bulk.json").exists()
+
+
+def test_eval_energy_rejects_a_non_finite_field(tmp_path, capsys):
+    cfg = preset_config("bulk")
+    cfg["surface"].update(n_u=8, n_v=8)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "bulk.json"
+    path.write_text(json.dumps(cfg))
+    grid = build_objects(resolve_config(cfg)).grid
+    values = np.tile([0.0, 0.0, 1.0], grid.shape + (1,))
+    for bad in (np.nan, np.inf, -np.inf):
+        values[3, 4, 1] = bad
+        field_path = tmp_path / "field.csv"
+        write_field_csv(grid, DirectorField(values), str(field_path))
+        with pytest.raises(EnergyError, match="field.csv"):
+            read_field_csv(grid, str(field_path))
+        assert main(["eval-energy", "--config", str(path), "--form", "limit",
+                     "--field", str(field_path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err and str(field_path) in captured.err
 
 
 def _actions(parser, dest):

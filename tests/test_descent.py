@@ -40,7 +40,7 @@ def test_dirichlet_on_free_patch_relaxes_to_constants(flat_patch):
 
 def test_constant_init_is_already_stationary(flat_patch):
     model = LimitEnergy(flat_patch, SPHERE, ZeroPerturbation())
-    const = DirectorField.surface(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), flat_patch.shape + (3,)).copy()
     )
     field, report = minimize(model, SPHERE, const, MinimizeOptions())
@@ -60,7 +60,7 @@ def test_helix_is_near_stationary_for_matched_chirality():
     kappa = 2.0 * np.pi
     x = grid.points[..., 0]
     helix = np.stack([np.zeros_like(x), np.sin(kappa * x), np.cos(kappa * x)], axis=-1)
-    init = DirectorField.surface(helix)
+    init = DirectorField(helix)
 
     model = LimitEnergy(grid, SPHERE, BulkDMI(kappa))
     start = model.breakdown(init.values)
@@ -192,14 +192,14 @@ def test_flagged_start_is_not_projected_again(small_torus):
     field, _ = minimize(model, target, start, no_steps)
     assert projections == []
     assert field.on_target and field.values is start.values
-    unflagged = DirectorField(values=start.values, layout="surface")
+    unflagged = DirectorField(start.values)
     minimize(model, target, unflagged, no_steps)
     assert projections == [start.values.shape]
-    # the constructors flag exactly the fields they project
-    assert DirectorField.surface(start.values, SPHERE).on_target
-    assert not DirectorField.surface(start.values).on_target
+    # a field is flagged only when its maker says so, at either rank
+    assert DirectorField(SPHERE.project(start.values), on_target=True).on_target
+    assert not DirectorField(start.values).on_target
     thin = np.repeat(start.values[:, :, None, :], 4, axis=2)
-    assert DirectorField.thin(thin, SPHERE).on_target and not DirectorField.thin(thin).on_target
+    assert DirectorField(thin, on_target=True).on_target and not DirectorField(thin).on_target
 
 
 def apply_h1_model(grid, x, eps=None, n_s=None):

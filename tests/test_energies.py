@@ -11,11 +11,9 @@ from chiralfilm.energies import (
     LimitEnergy,
     ThinFilmEnergy,
     h1_distance,
-    limit_energy,
     optimal_corrector,
     recovery_field,
     s_quadrature,
-    thin_film_energy,
 )
 from chiralfilm.perturbations import (
     AnisotropicDMI,
@@ -55,33 +53,33 @@ def smooth_thin_field(grid, target, n_s, rng, scale=0.4):
         wiggle = grid.points @ lin.T
         raw = base[:, :, None, :] + s[None, None, :, None] * wiggle[:, :, None, :]
         if np.min(np.linalg.norm(raw, axis=-1)) > 0.3:
-            return DirectorField.thin(raw, target)
+            return DirectorField(target.project(raw), on_target=True)
     raise AssertionError("could not draw an admissible smooth field")
 
 
 def test_breakdown_additivity_and_nonnegativity(small_torus, rng):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, SPHERE, "surface", seed=1)
-    bd = limit_energy(small_torus, SPHERE, pert, f)
+    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)
     assert bd.total == bd.tangential + bd.normal_or_anisotropy
     assert bd.tangential >= 0 and bd.normal_or_anisotropy >= 0
 
     ft = random_field(small_torus, SPHERE, "thin", n_s=6, seed=2)
-    bd = thin_film_energy(small_torus, pert, 0.1, ft)
+    bd = ThinFilmEnergy(small_torus, pert, 0.1, ft.n_s).breakdown(ft.values)
     assert bd.total == bd.tangential + bd.normal_or_anisotropy
     assert bd.tangential >= 0 and bd.normal_or_anisotropy >= 0
 
 
 def test_constant_field_zero_perturbation_gives_zero(small_torus):
     pert = ZeroPerturbation()
-    const = DirectorField.surface(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (3,)).copy()
     )
-    assert limit_energy(small_torus, SPHERE, pert, const).total == 0.0
-    thin = DirectorField.thin(
+    assert LimitEnergy(small_torus, SPHERE, pert).breakdown(const.values).total == 0.0
+    thin = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (6, 3)).copy()
     )
-    assert thin_film_energy(small_torus, pert, 0.1, thin).total == 0.0
+    assert ThinFilmEnergy(small_torus, pert, 0.1, thin.n_s).breakdown(thin.values).total == 0.0
 
 
 def test_flat_patch_s_constant_reduction(flat_patch, rng):
@@ -90,10 +88,10 @@ def test_flat_patch_s_constant_reduction(flat_patch, rng):
     pert = BulkDMI(1.3)
     surf = random_field(flat_patch, SPHERE, "surface", seed=3)
     thin_values = np.repeat(surf.values[:, :, None, :], 8, axis=2)
-    thin = DirectorField(values=thin_values, layout="thin")
+    thin = DirectorField(thin_values)
 
-    bd_thin = thin_film_energy(flat_patch, pert, 0.2, thin)
-    bd_lim = limit_energy(flat_patch, SPHERE, pert, surf)
+    bd_thin = ThinFilmEnergy(flat_patch, pert, 0.2, thin.n_s).breakdown(thin.values)
+    bd_lim = LimitEnergy(flat_patch, SPHERE, pert).breakdown(surf.values)
     assert bd_thin.tangential == pytest.approx(bd_lim.tangential, rel=1e-10)
 
     ctx = frame_sample(flat_patch, pert)
@@ -104,10 +102,10 @@ def test_flat_patch_s_constant_reduction(flat_patch, rng):
 
 
 def test_limit_energy_constant_field_band_oracle(sphere_band):
-    const = DirectorField.surface(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), sphere_band.shape + (3,)).copy()
     )
-    bd = limit_energy(sphere_band, SPHERE, BulkDMI(1.0), const)
+    bd = LimitEnergy(sphere_band, SPHERE, BulkDMI(1.0)).breakdown(const.values)
     oracle = band_integral_of_one_plus_nz2(0.15)
     assert abs(bd.tangential - oracle) / oracle < 1e-3
     assert bd.normal_or_anisotropy == 0.0
@@ -117,10 +115,10 @@ def test_thin_energy_constant_field_band_oracle(sphere_band):
     # s-constant field on the unit-sphere band: the metric factors reduce to
     # (1 + eps*s)^2/h^2-free expression whose s-quadrature is explicit
     eps, n_s = 0.1, 8
-    const = DirectorField.thin(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), sphere_band.shape + (n_s, 3)).copy()
     )
-    bd = thin_film_energy(sphere_band, BulkDMI(1.0), eps, const)
+    bd = ThinFilmEnergy(sphere_band, BulkDMI(1.0), eps, n_s).breakdown(const.values)
     s, weights, _ = s_quadrature(n_s)
     s_factor = 0.5 * np.sum(weights * (1.0 + eps * s) ** 2)
     oracle = band_integral_of_one_plus_nz2(0.15) * s_factor
@@ -140,7 +138,7 @@ def test_thin_energy_constant_field_band_oracle(sphere_band):
 )
 def test_anisotropy_term_vanishing(small_torus, pert, target, vanishes, rng):
     f = random_field(small_torus, target, "surface", seed=11)
-    bd = limit_energy(small_torus, target, pert, f)
+    bd = LimitEnergy(small_torus, target, pert).breakdown(f.values)
     if vanishes:
         assert bd.normal_or_anisotropy <= 1e-14 * max(bd.total, 1.0)
     else:
@@ -151,7 +149,7 @@ def test_temperature_anisotropy_vanishes_on_sphere_target(small_torus, rng):
     pert = TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)),
                           np.eye(3))
     f = random_field(small_torus, SPHERE, "surface", seed=12)
-    bd = limit_energy(small_torus, SPHERE, pert, f)
+    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)
     assert bd.normal_or_anisotropy <= 1e-14 * max(bd.total, 1.0)
 
 
@@ -160,7 +158,7 @@ def test_bulk_ellipsoid_anisotropy_matches_cross_product_density(small_torus):
     kappa = 1.4
     pert = BulkDMI(kappa)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=13)
-    bd = limit_energy(small_torus, ELLIPSOID, pert, f)
+    bd = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)
     n_m = ELLIPSOID.normal(f.values)
     density = kappa**2 * np.sum(np.cross(n_m, f.values) * small_torus.normal, axis=-1) ** 2
     expected = float(np.sum(small_torus.area_weight * density))
@@ -252,24 +250,24 @@ def test_recovery_energy_decreases_with_eps(sphere_band):
     # generic smooth field: projected ambient affine map
     mat = 0.5 * rng.standard_normal((3, 3))
     raw = sphere_band.points @ mat.T + np.array([0.2, -0.1, 1.1])
-    u0 = DirectorField.surface(raw, SPHERE)
+    u0 = DirectorField(SPHERE.project(raw), on_target=True)
     d0 = optimal_corrector(sphere_band, SPHERE, pert, u0.values)
-    e_lim = limit_energy(sphere_band, SPHERE, pert, u0).total
+    e_lim = LimitEnergy(sphere_band, SPHERE, pert).breakdown(u0.values).total
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         rec = recovery_field(sphere_band, SPHERE, u0.values, d0, eps, 8)
-        gaps.append(thin_film_energy(sphere_band, pert, eps, rec).total - e_lim)
+        gaps.append(ThinFilmEnergy(sphere_band, pert, eps, rec.n_s).breakdown(rec.values).total - e_lim)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] > -1e-6
 
 
 def test_h1_distance_properties(small_torus, rng):
     surf = random_field(small_torus, SPHERE, "surface", seed=9)
-    same = DirectorField(values=np.repeat(surf.values[:, :, None, :], 6, axis=2), layout="thin")
+    same = DirectorField(np.repeat(surf.values[:, :, None, :], 6, axis=2))
     assert h1_distance(small_torus, same, surf) == 0.0
 
     shift = np.array([0.3, -0.1, 0.2])
-    shifted = DirectorField(values=same.values + shift, layout="thin")
+    shifted = DirectorField(same.values + shift)
     area = float(np.sum(small_torus.area_weight))
     expected = np.sqrt(np.dot(shift, shift) * area * 2.0)
     assert h1_distance(small_torus, shifted, surf) == pytest.approx(expected, rel=1e-12)
@@ -277,9 +275,7 @@ def test_h1_distance_properties(small_torus, rng):
     amp = 0.37
     direction = np.array([0.0, 1.0, 0.0])
     s, weights, _ = s_quadrature(6)
-    wiggled = DirectorField(
-        values=same.values + amp * s[None, None, :, None] * direction, layout="thin"
-    )
+    wiggled = DirectorField(same.values + amp * s[None, None, :, None] * direction)
     # |diff|^2 integrates amp^2 s^2; d_s(diff) = amp exactly for linear data
     expected_sq = amp**2 * area * (np.sum(weights * s**2) + 2.0)
     assert h1_distance(small_torus, wiggled, surf) == pytest.approx(np.sqrt(expected_sq), rel=1e-12)
@@ -288,19 +284,20 @@ def test_h1_distance_properties(small_torus, rng):
 def test_limit_general_reductions(small_torus, rng):
     pert = BulkDMI(0.9)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=10)
-    plain = limit_energy(small_torus, ELLIPSOID, pert, f)
-    ident = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=EllipticTensor("identity"))
+    plain = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)
+    ident = LimitEnergy(small_torus, ELLIPSOID, pert,
+                        tensor=EllipticTensor("identity")).breakdown(f.values)
     assert plain.tangential == ident.tangential
     assert plain.normal_or_anisotropy == ident.normal_or_anisotropy
 
     const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-    near = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=const1)
+    near = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=const1).breakdown(f.values)
     assert near.total == pytest.approx(plain.total, rel=1e-12)
 
     # a scalar tensor cancels from the anisotropy quotient, so a non-constant
     # one leaves that term exactly at its identity-tensor value
     affine = EllipticTensor("scalar_field", ScalarSurfaceField("affine", c0=1.5, c=(0.2, -0.1, 0.3)))
-    varied = limit_energy(small_torus, ELLIPSOID, pert, f, tensor=affine)
+    varied = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=affine).breakdown(f.values)
     assert varied.normal_or_anisotropy == ident.normal_or_anisotropy
     assert varied.tangential != ident.tangential
 
@@ -308,8 +305,8 @@ def test_limit_general_reductions(small_torus, rng):
 def test_limit_general_doubling_scales_dirichlet(small_torus):
     f = random_field(small_torus, SPHERE, "surface", seed=14)
     two = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=2.0))
-    plain = limit_energy(small_torus, SPHERE, ZeroPerturbation(), f)
-    doubled = limit_energy(small_torus, SPHERE, ZeroPerturbation(), f, tensor=two)
+    plain = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).breakdown(f.values)
+    doubled = LimitEnergy(small_torus, SPHERE, ZeroPerturbation(), tensor=two).breakdown(f.values)
     assert doubled.tangential == pytest.approx(4.0 * plain.tangential, rel=1e-12)
     assert doubled.normal_or_anisotropy == 0.0
 
@@ -326,8 +323,8 @@ def test_temperature_constant_saturation_scaling(small_torus, rng):
     aniso = AnisotropicDMI(coupling / c)
 
     f = random_field(small_torus, ELLIPSOID, "surface", seed=15)
-    lhs = limit_energy(small_torus, ELLIPSOID, temp, f, tensor=tensor)
-    rhs = limit_energy(small_torus, ELLIPSOID, aniso, f)
+    lhs = LimitEnergy(small_torus, ELLIPSOID, temp, tensor=tensor).breakdown(f.values)
+    rhs = LimitEnergy(small_torus, ELLIPSOID, aniso).breakdown(f.values)
     assert lhs.tangential == pytest.approx(c**2 * rhs.tangential, rel=1e-10)
     assert lhs.normal_or_anisotropy == pytest.approx(c**2 * rhs.normal_or_anisotropy, rel=1e-10)
 
@@ -419,7 +416,7 @@ def test_gradient_matches_finite_differences_property(layout, kind, n_u, n_v, n_
 
 
 def test_gradient_constant_field_zero_perturbation(small_torus):
-    const = DirectorField.surface(
+    const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (3,)).copy()
     )
     grad = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).gradient(const.values)
@@ -519,7 +516,7 @@ def test_pullback_matches_direct_quadrature(surface_kind, rng):
     eps = 0.1
     for _ in range(5):
         f = smooth_thin_field(grid, SPHERE, 8, rng)
-        e_pull = thin_film_energy(grid, pert, eps, f).total
+        e_pull = ThinFilmEnergy(grid, pert, eps, f.n_s).breakdown(f.values).total
         e_direct = direct_tubular_energy(grid, pert, eps, f)
         assert abs(e_pull - e_direct) / max(e_pull, 1.0) < 5e-3
 
@@ -527,27 +524,33 @@ def test_pullback_matches_direct_quadrature(surface_kind, rng):
 def test_layout_and_shape_validation(small_torus):
     surf = random_field(small_torus, SPHERE, "surface", seed=21)
     thin = random_field(small_torus, SPHERE, "thin", n_s=6, seed=21)
+    # the layout is the array's rank
+    assert (surf.layout, thin.layout, thin.n_s) == ("surface", "thin", 6)
     with pytest.raises(EnergyError):
-        thin_film_energy(small_torus, BulkDMI(1.0), 0.1, surf)
+        surf.n_s
     with pytest.raises(EnergyError):
-        limit_energy(small_torus, SPHERE, BulkDMI(1.0), thin)
+        ThinFilmEnergy(small_torus, BulkDMI(1.0), 0.1, 6).breakdown(surf.values)
+    with pytest.raises(EnergyError):
+        LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).breakdown(thin.values)
     with pytest.raises(EnergyError):
         LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).gradient(thin.values)
-    wrong = DirectorField(values=np.zeros((4, 4, 3)), layout="surface")
+    wrong = DirectorField(np.zeros((4, 4, 3)))
     with pytest.raises(EnergyError):
-        limit_energy(small_torus, SPHERE, BulkDMI(1.0), wrong)
+        LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).breakdown(wrong.values)
+    for shape in ((4, 4), (4, 4, 2), (4, 4, 6, 2), (4, 4, 6, 2, 3)):
+        with pytest.raises(EnergyError):
+            DirectorField(np.zeros(shape))
     with pytest.raises(EnergyError):
-        DirectorField(values=np.zeros((4, 4, 3)), layout="thin")
-    with pytest.raises(EnergyError):
-        DirectorField(values=np.zeros((4, 4, 3, 3)), layout="thin")  # n_s < 4
+        DirectorField(np.zeros((4, 4, 3, 3)))  # n_s < 4
     with pytest.raises(EnergyError):
         s_quadrature(3)
 
 
 def test_director_field_projection_on_construction(small_torus, rng):
     raw = rng.standard_normal(small_torus.shape + (3,)) + np.array([0.0, 0.0, 2.0])
-    f = DirectorField.surface(raw, SPHERE)
+    f = DirectorField(SPHERE.project(raw), on_target=True)
     assert np.max(np.abs(np.linalg.norm(f.values, axis=-1) - 1.0)) < 1e-9
-    t = DirectorField.thin(rng.standard_normal(small_torus.shape + (5, 3)) + 2.0, SPHERE)
+    t = DirectorField(SPHERE.project(rng.standard_normal(small_torus.shape + (5, 3)) + 2.0),
+                      on_target=True)
     assert t.n_s == 5
     assert np.max(np.abs(np.linalg.norm(t.values, axis=-1) - 1.0)) < 1e-9

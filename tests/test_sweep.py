@@ -170,16 +170,17 @@ def test_vanishing_identity_sample_floor():
 def test_planar_interfacial_crosscheck_constant_fields():
     # density kappa^2 (1 + m3^2): m = e3 gives 2*kappa^2*area, m = e1 gives kappa^2*area
     grid = build_surface(SurfaceSpec("flat_patch", 24, 24))
-    from chiralfilm.energies import DirectorField, limit_energy
+    from chiralfilm.energies import LimitEnergy
 
     kappa = 1.3
     pert = InterfacialDMI(kappa)
     area = float(np.sum(grid.area_weight))
-    e3 = DirectorField.surface(np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.shape + (3,)).copy())
-    bd = limit_energy(grid, SPHERE, pert, e3)
+    model = LimitEnergy(grid, SPHERE, pert)
+    e3 = np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.shape + (3,)).copy()
+    bd = model.breakdown(e3)
     assert bd.total == pytest.approx(2.0 * kappa**2 * area, rel=1e-12)
-    e1 = DirectorField.surface(np.broadcast_to(np.array([1.0, 0.0, 0.0]), grid.shape + (3,)).copy())
-    bd = limit_energy(grid, SPHERE, pert, e1)
+    e1 = np.broadcast_to(np.array([1.0, 0.0, 0.0]), grid.shape + (3,)).copy()
+    bd = model.breakdown(e1)
     assert bd.total == pytest.approx(kappa**2 * area, rel=1e-12)
 
 

@@ -2,9 +2,10 @@
 
 The benchmark scripts under `benchmarks/` reach into the package by name, so
 one test runs the parts they depend on: a change to the package that breaks
-`benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails here.  Another
-keeps the package free of code only the tests call.  Both read `benchmarks/`
-and change nothing in it.
+`benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails here, and
+another runs the correctness check `benchmarks/run.py` applies to every sweep.
+One more keeps the package free of code only the tests call.  All of them read
+`benchmarks/` and change nothing in it.
 """
 
 import ast
@@ -39,6 +40,24 @@ def test_benchmark_tools_find_what_they_patch(monkeypatch):
     rows = kernels.rows_for(16)
     assert len(rows) == 8
     assert all(row["n"] == 16 and math.isfinite(row["best_ms"]) for row in rows)
+
+
+def test_benchmark_check_passes_a_small_sweep(monkeypatch):
+    # check_sweep reads DirectorField.values and the SweepReport fields
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    with mock.patch.dict(os.environ):  # importing run.py pins the BLAS thread variables
+        import run
+    from chiralfilm.config import build_objects, preset_config, resolve_config
+    from chiralfilm.sweep import run_sweep
+
+    raw = preset_config("bulk")
+    raw["surface"].update(n_u=8, n_v=8)
+    raw["sweep"]["restarts"] = 1
+    raw["minimizer"]["max_iterations"] = 30
+    config = build_objects(resolve_config(raw))
+    report, artifacts = run_sweep(config)
+    assert len(artifacts["eps_fields"]) == len(config.eps_list)
+    assert run.check_sweep(report, artifacts, config) == []
 
 
 def _defined_names(tree):
