@@ -7,9 +7,13 @@ the tangent space; a step retracts every node back onto the target by
 nearest-point projection.  P is the H1 preconditioner below, the Hessian model
 of the Dirichlet part, so the iteration is the H1 tangent-plane scheme of
 Alouges (SIAM J. Numer. Anal. 34(5), 1997) with quasi-Newton memory.  Pairs
-are formed at the accepted point in its tangent space and kept as float32.
-When the two-loop direction is not a descent direction, the memory is cleared
-and the step follows -gamma P^-1 g.
+are formed at the accepted point in its tangent space.  They are stacked as
+the float64 rows of a ring, next to their cross products s_i . y_j, so the
+two-loop recursion runs as a scalar recurrence around four matrix-vector
+products over the stacked pairs (vector-free L-BFGS: Chen, Wang, Zhou & Ma,
+"Large-scale L-BFGS using MapReduce", NeurIPS 2014).  When the two-loop
+direction is not a descent direction, the memory is cleared and the step
+follows -gamma P^-1 g.
 
 The first trial step is 1, capped so that no node moves farther than
 MAX_NODE_STEP, and refined by Armijo backtracking, so the stored energy trace
@@ -19,7 +23,6 @@ constants below; only the iteration cap and the gradient tolerance are options.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,22 +221,60 @@ def _sup_norm(g):
     return float(np.sqrt(np.max(np.einsum("...k,...k->...", g, g))))
 
 
-def _two_loop(g, pairs, gamma, solve):
-    """H g for the L-BFGS inverse-Hessian model with H_0 = gamma P^-1.
+class PairMemory:
+    """The last MEMORY pairs (s_i, y_i) of fields with `size` entries.
 
-    The coefficients are float64, so each update of a float32 pair is
-    computed in float64.
+    The pairs are the rows of two float64 (MEMORY, size) arrays, used as a
+    ring; a[i, j] = s_i . y_j for filled rows i, j with pair i no newer than
+    pair j, the only cross products the two-loop recursion reads.
     """
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * np.vdot(s, q)
-        q -= alpha * y
-        alphas.append(alpha)
-    r = gamma * solve(q)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        r += (alpha - rho * np.vdot(y, r)) * s
-    return r
+
+    def __init__(self, size):
+        self.s = np.empty((MEMORY, size))
+        self.y = np.empty((MEMORY, size))
+        self.a = np.empty((MEMORY, MEMORY))
+        self.count = 0      # filled rows, always the first `count`
+        self.next = 0       # row the next pair overwrites
+
+    def clear(self):
+        self.count = self.next = 0
+
+    def append(self, s, y):
+        """Store a pair (the oldest goes once MEMORY are kept); needs s . y > 0."""
+        k = self.next
+        self.s[k], self.y[k] = s.ravel(), y.ravel()
+        self.count = n = min(self.count + 1, MEMORY)
+        self.next = (k + 1) % MEMORY
+        # column k of a, over the filled rows only
+        self.a[:n, k] = self.s[:n] @ self.y[k]
+
+    def apply(self, g, gamma, solve):
+        """H g for the L-BFGS inverse-Hessian model with H_0 = gamma P^-1.
+
+        With q_i the two-loop's vector when pair i is reached, s_i . q_i and
+        y_i . r_i follow from S g, Y r_0 and a, so the loops touch the fields
+        only in S g, q = g - Y^T alpha, Y r_0 and r = r_0 + S^T (alpha - beta).
+        """
+        n = self.count
+        s, y, a = self.s[:n], self.y[:n], self.a[:n, :n]
+        order = (self.next - n + np.arange(n)) % MEMORY   # oldest first
+        rho = 1.0 / np.diagonal(a)
+        alpha, beta = np.zeros(n), np.zeros(n)
+        sg = s @ g.ravel()
+        for p in range(n - 1, -1, -1):
+            i, newer = order[p], order[p + 1:]
+            alpha[i] = rho[i] * (sg[i] - a[i, newer] @ alpha[newer])
+        # in place: a fresh array for each of these field-sized results costs
+        # more than the product itself
+        q = alpha @ y
+        r = solve(np.subtract(g.ravel(), q, out=q).reshape(g.shape))
+        r *= gamma
+        yr = y @ r.ravel()
+        for p in range(n):
+            i, older = order[p], order[:p]
+            beta[i] = rho[i] * (yr[i] + (alpha[older] - beta[older]) @ a[older, i])
+        r += ((alpha - beta) @ s).reshape(g.shape)
+        return r
 
 
 def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = MinimizeOptions()):
@@ -258,22 +299,25 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
                             grad_trace=[gnorm], termination="max_iterations",
                             gradient_evaluations=1)
     precond = None
-    pairs = deque(maxlen=MEMORY)
+    pairs = PairMemory(g.size)
     gamma = 1.0
 
     def solve(v):
         report.preconditioner_solves += 1
         return precond.solve(v)
 
-    for it in range(opts.max_iterations):
+    for it in range(opts.max_iterations + 1):
         # relative tolerance follows the current energy level: pinning it to
-        # the first iterate lets high-energy random starts stop far too early
+        # the first iterate lets high-energy random starts stop far too early;
+        # the last allowed iterate is checked too
         if gnorm <= opts.grad_tol * max(1.0, bd.total):
             report.termination = "gradient_tolerance"
             break
+        if it == opts.max_iterations:
+            break
         if precond is None:
             precond = _preconditioner(model)
-        d = -tangent_part(normal, _two_loop(g, pairs, gamma, solve))
+        d = -tangent_part(normal, pairs.apply(g, gamma, solve))
         slope = float(np.vdot(g, d))
         if not slope < 0.0:
             pairs.clear()
@@ -312,7 +356,7 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
         sy = float(np.vdot(s, y))
         if sy > 0.0:
             gamma = sy / float(np.vdot(y, solve(y)))
-            pairs.append((s.astype(np.float32), y.astype(np.float32), np.float64(1.0 / sy)))
+            pairs.append(s, y)
         del s, y
         gnorm = _sup_norm(g)
         report.energy_trace.append(bd.total)

@@ -110,7 +110,9 @@ class KFrame:
     couplings carry a leading frame-row axis, shape (3,) + field shape.  K is
     linear in sigma, so K(u) f_m = sum_j u_j K(e_j) f_m: the basis K(e_j) f_m
     is built once as (3, n_u, n_v, 3, 3), indexed (m, ..., j, i), so applying
-    K is one matmul and its coupling one matmul with the transpose.
+    K is one matmul.  Its coupling is one matmul with the transposed basis,
+    indexed (m, ..., i, j) and kept as a second contiguous array, since a
+    batched matmul against a strided view takes numpy's slow path.
     """
 
     def __init__(self, grid: SurfaceGrid, pert):
@@ -120,6 +122,7 @@ class KFrame:
                 for e in np.eye(3)]
         basis = np.moveaxis(np.stack(rows, axis=-2), -3, 0)
         self.basis = np.ascontiguousarray(basis.reshape((3,) + grid.shape + (3, 3)))
+        self.basis_t = np.ascontiguousarray(np.swapaxes(self.basis, -1, -2))
 
     def images(self, values):
         """K(u) F as a fresh array whose [m] block is K(u) f_m."""
@@ -128,7 +131,7 @@ class KFrame:
 
     def couplings(self, y):
         """Block m holds the u-gradient of y[m] . K(u) f_m; y is shaped like images(u)."""
-        rows = y.reshape((3,) + self.shape + (-1, 3)) @ np.swapaxes(self.basis, -1, -2)
+        rows = y.reshape((3,) + self.shape + (-1, 3)) @ self.basis_t
         return rows.reshape(y.shape)
 
 

@@ -19,7 +19,7 @@ class TargetError(ValueError):
 
 
 def _norm(y):
-    return np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
+    return np.sqrt(np.einsum("...k,...k->...", y, y))[..., None]
 
 
 def tangent_part(n, v):

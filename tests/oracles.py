@@ -2,8 +2,9 @@
 
 Each oracle reaches its number by a route the library does not take: the
 analytic chart map instead of the node arrays, a finite-difference Jacobian
-of the offset map instead of the closed-form metric factors, and K evaluated
-at every node's value instead of through the precomputed frame basis.
+of the offset map instead of the closed-form metric factors, K evaluated at
+every node's value instead of through the precomputed frame basis, and the
+L-BFGS two-loop recursion pair by pair instead of over the stacked pairs.
 """
 
 import numpy as np
@@ -139,3 +140,21 @@ def per_node_thin_breakdown(grid, pert, eps, tensor, values) -> EnergyBreakdown:
     sums = [np.sum(w * np.sum((c[..., None] * d + images[..., m, :]) ** 2, axis=-1))
             for m, (c, d) in enumerate(zip(coeffs, derivs))]
     return EnergyBreakdown.of(0.5 * (sums[0] + sums[1]), 0.5 * sums[2])
+
+
+def two_loop(g, pairs, gamma, solve):
+    """H g for the L-BFGS inverse-Hessian model with H_0 = gamma P^-1.
+
+    The coefficients are float64, so each update of a float32 pair is
+    computed in float64.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * np.vdot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    r = gamma * solve(q)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * np.vdot(y, r)) * s
+    return r

@@ -4,10 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chiralfilm.descent import (
+    MEMORY,
     SIGMA,
     H1Preconditioner,
     MinimizeOptions,
     NumericalFailure,
+    PairMemory,
     minimize,
     random_field,
 )
@@ -21,6 +23,7 @@ from chiralfilm.energies import (
 from chiralfilm.perturbations import BulkDMI, ZeroPerturbation
 from chiralfilm.surfaces import SurfaceSpec, apply_difference, build_surface
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
+from oracles import two_loop
 
 SPHERE = SphereTarget(1.0)
 
@@ -47,6 +50,24 @@ def test_constant_init_is_already_stationary(flat_patch):
     assert report.iterations == 0
     assert report.termination == "gradient_tolerance"
     assert report.energy.total == 0.0
+    # a cap of zero iterations still checks the start
+    _, capped = minimize(model, SPHERE, const, MinimizeOptions(max_iterations=0))
+    assert capped.termination == "gradient_tolerance"
+
+
+def test_convergence_on_the_last_allowed_iteration_is_reported():
+    grid = build_surface(SurfaceSpec("sphere", 16, 16))
+    model = LimitEnergy(grid, SPHERE, BulkDMI(1.0))
+    init = random_field(grid, SPHERE, "surface", seed=3)
+    _, free = minimize(model, SPHERE, init, MinimizeOptions(grad_tol=1e-6))
+    assert free.termination == "gradient_tolerance" and free.iterations > 0
+    capped_opts = MinimizeOptions(max_iterations=free.iterations, grad_tol=1e-6)
+    _, capped = minimize(model, SPHERE, init, capped_opts)
+    assert capped.iterations == free.iterations
+    assert capped.grad_norm == free.grad_norm
+    assert capped.termination == "gradient_tolerance"
+    one_short = MinimizeOptions(max_iterations=free.iterations - 1, grad_tol=1e-6)
+    assert minimize(model, SPHERE, init, one_short)[1].termination == "max_iterations"
 
 
 def test_helix_is_near_stationary_for_matched_chirality():
@@ -248,3 +269,42 @@ def test_preconditioner_is_spd_and_solve_inverts_it(case):
     solved = H1Preconditioner(grid, eps=eps, n_s=n_s).solve(px)
     assert solved.shape == shape
     assert np.linalg.norm(solved - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@st.composite
+def pair_sequences(draw):
+    """A field shape of either rank, up to 12 pairs with s . y > 0, and where to clear."""
+    shape = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    if draw(st.booleans()):
+        shape += (draw(st.integers(4, 6)),)
+    appends = draw(st.integers(0, 12))
+    clear_at = draw(st.none() | st.integers(0, appends))
+    return shape + (3,), appends, clear_at, draw(st.floats(0.1, 10.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(pair_sequences())
+def test_stacked_pairs_match_the_per_pair_two_loop(case):
+    shape, appends, clear_at, gamma, seed = case
+    rng = np.random.default_rng(seed)
+    # a positive diagonal Hessian model keeps s . y > 0 and the pairs well conditioned
+    curvature = rng.uniform(0.5, 2.0, shape)
+    precond = rng.uniform(0.5, 2.0, shape)
+
+    def solve(v):
+        return v / precond
+
+    memory, kept = PairMemory(int(np.prod(shape))), []
+    for k in range(appends + 1):
+        g = rng.standard_normal(shape)
+        want = two_loop(g, kept, gamma, solve)
+        got = memory.apply(g, gamma, solve)
+        assert got.shape == shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        if k == clear_at:
+            memory.clear()
+            kept.clear()
+        if k < appends:
+            s = rng.standard_normal(shape)
+            y = (curvature + rng.uniform(-0.4, 0.4, shape)) * s
+            memory.append(s, y)
+            kept = (kept + [(s, y, 1.0 / np.vdot(s, y))])[-MEMORY:]

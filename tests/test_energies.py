@@ -8,6 +8,7 @@ from chiralfilm.descent import random_field
 from chiralfilm.energies import (
     DirectorField,
     EnergyError,
+    KFrame,
     LimitEnergy,
     ThinFilmEnergy,
     h1_distance,
@@ -480,22 +481,25 @@ def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
             assert bd == want_bd and g.tobytes() == want_g.tobytes()
 
 
+SATURATION = ScalarSurfaceField("affine", 1.5, (0.0, 0.0, 0.3))
+# one perturbation per kind of the config's perturbation table
+PERTURBATION_PER_KIND = {
+    "zero": ZeroPerturbation(),
+    "bulk_dmi": BulkDMI(1.3),
+    "interfacial_dmi": InterfacialDMI(0.9),
+    "anisotropic_dmi": AnisotropicDMI(COUPLING),
+    "temperature": TemperatureDMI(SATURATION, COUPLING),
+}
+
+
 @pytest.mark.parametrize("layout", ["surface", "thin"])
 def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
     # every config perturbation kind through the stored frame basis and through
     # an assembly that evaluates K at each node's value
-    saturation = ScalarSurfaceField("affine", 1.5, (0.0, 0.0, 0.3))
-    perts = {
-        "zero": ZeroPerturbation(),
-        "bulk_dmi": BulkDMI(1.3),
-        "interfacial_dmi": InterfacialDMI(0.9),
-        "anisotropic_dmi": AnisotropicDMI(COUPLING),
-        "temperature": TemperatureDMI(saturation, COUPLING),
-    }
-    assert set(perts) == set(_KINDS["perturbation"])
-    tensor = EllipticTensor("scalar_field", saturation)
+    assert set(PERTURBATION_PER_KIND) == set(_KINDS["perturbation"])
+    tensor = EllipticTensor("scalar_field", SATURATION)
     f = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=22)
-    for kind, pert in perts.items():
+    for kind, pert in PERTURBATION_PER_KIND.items():
         if layout == "surface":
             got = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor).breakdown(f.values)
             want = per_node_limit_breakdown(small_torus, ELLIPSOID, pert, tensor, f.values)
@@ -504,6 +508,27 @@ def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
             want = per_node_thin_breakdown(small_torus, pert, 0.1, tensor, f.values)
         assert got.tangential == pytest.approx(want.tangential, rel=1e-12), kind
         assert got.normal_or_anisotropy == pytest.approx(want.normal_or_anisotropy, rel=1e-12), kind
+
+
+@pytest.mark.parametrize("layout", ["surface", "thin"])
+def test_couplings_match_a_per_node_contraction(small_torus, layout, rng):
+    # block m of couplings(y) is the u-gradient of y[m] . K(u) f_m, so its
+    # component j is y[m] . K(e_j) f_m, with K(e_j) from kmatrix at each node
+    assert set(PERTURBATION_PER_KIND) == set(_KINDS["perturbation"])
+    layers = (slice(None), slice(None)) + ((None,) if layout == "thin" else ())
+    shape = small_torus.shape + ((6,) if layout == "thin" else ()) + (3,)
+    y = rng.standard_normal((3,) + shape)
+    for kind, pert in PERTURBATION_PER_KIND.items():
+        ctx = frame_sample(small_torus, pert)
+        frame = (ctx.tau1, ctx.tau2, ctx.normal)
+        want = np.empty_like(y)
+        for j, e in enumerate(np.eye(3)):
+            k_j = pert.kmatrix(ctx, np.broadcast_to(e, ctx.normal.shape))
+            for m, f_m in enumerate(frame):
+                want[m, ..., j] = np.einsum("...i,...ik,...k->...", y[m], k_j[layers], f_m[layers])
+        got = KFrame(small_torus, pert).couplings(y)
+        assert got.shape == y.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want))), kind
 
 
 @pytest.mark.parametrize("surface_kind", ["sphere", "torus"])
