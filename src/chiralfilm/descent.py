@@ -5,7 +5,8 @@ the L-BFGS two-loop recursion (Nocedal & Wright, *Numerical Optimization*,
 2006, section 7.2) with initial Hessian inverse gamma * P^-1, projected onto
 the tangent space; a step retracts every node back onto the target by
 nearest-point projection.  P is the H1 preconditioner below, the Hessian model
-of the Dirichlet part, so the iteration is the H1 tangent-plane scheme of
+of the Dirichlet part, solved by full fast diagonalization (matrix products
+and one division), so the iteration is the H1 tangent-plane scheme of
 Alouges (SIAM J. Numer. Anal. 34(5), 1997) with quasi-Newton memory.  Pairs
 are formed at the accepted point in its tangent space.  They are stacked as
 the float64 rows of a ring, next to their cross products s_i . y_j, so the
@@ -82,18 +83,13 @@ class MinimizeReport:
 def _varying_axis(grid):
     """The chart axis a along which the area weight and stretches may vary.
 
-    Every shipped chart has constant coefficients along the other axis b.
-    When both axes qualify, a non-periodic axis is taken as a, so the banded
-    solve needs no cyclic correction.
+    Every shipped chart has constant coefficients along the other axis b;
+    when both axes qualify, a is the first.
     """
     coeffs = (grid.area_weight, grid.stretch_u, grid.stretch_v)
-    constant_along = [all(np.all(c == c.take([0], axis=ax)) for c in coeffs) for ax in (0, 1)]
-    if constant_along[0] and constant_along[1]:
-        return 1 if grid.periodic_u and not grid.periodic_v else 0
-    if constant_along[1]:
-        return 0
-    if constant_along[0]:
-        return 1
+    for a in (0, 1):
+        if all(np.all(c == c.take([0], axis=1 - a)) for c in coeffs):
+            return a
     raise ValueError("the H1 preconditioner needs coefficients constant along one chart axis")
 
 
@@ -105,18 +101,20 @@ class H1Preconditioner:
     W = area weight x trapezoid weight in s, and adds (1/eps^2) D_s^T W D_s;
     metric factors and the tensor stay out of the model.  With a the varying
     chart axis and b the constant one, P = K_a x I + M_a x K_b + SIGMA W_a x I
-    (times the s-mass, plus the s-term, for the thin form).  The solve
-    diagonalizes K_b and the s-operator (Lynch, Rice & Thomas, Numer. Math. 6,
-    1964) and runs one pentadiagonal LDL^T solve along a per mode, batched over
-    the modes.  A periodic axis a couples its last two nodes to the first two;
-    they are eliminated through their 2x2 Schur complement (the cyclic
-    correction).  Storage is O(n_u n_v n_s).
+    (times the s-mass, plus the s-term, for the thin form), M_a diagonal.
+    The solve is a full fast diagonalization (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964): K_b has eigenvectors q_b and eigenvalues lam_k, the
+    s-operator W_s-orthonormal eigenvectors z and eigenvalues mu_m, and per
+    s-mode m the pencil (K_a + tau_m W_a, M_a), tau_m = SIGMA + mu_m / eps^2,
+    has M_a-orthonormal eigenvectors V_m and eigenvalues nu_{m,i}.  Then
+    P^-1 = (z x V_m x q_b) diag(1 / (c (nu_{m,i} + lam_k))) (z x V_m x q_b)^T,
+    so a solve is matrix products and one division, periodic axes included.
+    Storage is O(n_s n_a^2 + n_b^2 + n_s n_a n_b).
     """
 
     def __init__(self, grid, eps=None, n_s=None):
         self.axis = a = _varying_axis(grid)
         diffs, stretches = (grid.diff_u, grid.diff_v), (grid.stretch_u, grid.stretch_v)
-        periodic = (grid.periodic_u, grid.periodic_v)[a]
         # coefficients along a, read at the first node of b
         w = np.moveaxis(grid.area_weight, a, 0)[:, 0]
         stretch_a = np.moveaxis(stretches[a], a, 0)[:, 0]
@@ -124,90 +122,39 @@ class H1Preconditioner:
         k_a = diffs[a].T @ ((w / stretch_a**2)[:, None] * diffs[a])
         lam_b, self.q_b = np.linalg.eigh(diffs[1 - a].T @ diffs[1 - a])
         if eps is None:
-            self.scale, self.s_map = 2.0, None
-            tau = np.array([SIGMA])
+            scale, z, tau = 2.0, np.ones((1, 1)), np.array([SIGMA])
         else:
             _, ws, diff_s = s_quadrature(n_s)
             root = 1.0 / np.sqrt(ws)
             k_s = diff_s.T @ (ws[:, None] * diff_s)
             mu, vec = np.linalg.eigh(root[:, None] * k_s * root[None, :])
-            # z = W_s^-1/2 vec has z^T W_s z = I; acting on the (s, component) pairs of a row
-            self.scale, self.s_map = 1.0, np.kron(root[:, None] * vec, np.eye(3))
-            tau = SIGMA + mu / (eps * eps)
-        # mode (k, m): K_a + lam_k M_a + tau_m W_a, one column per mode
-        diag = (np.diag(k_a)[:, None, None] + (w / stretch_b**2)[:, None, None] * lam_b[None, :, None]
-                + w[:, None, None] * tau[None, None, :]).reshape(len(w), -1)
-        n = len(w) - 2 if periodic else len(w)
-        self.core = n
-        self._factor(diag[:n], np.diagonal(k_a, -1)[:n - 1], np.diagonal(k_a, -2)[:n - 2])
-        self.border = None
-        if periodic:
-            a12 = k_a[:n, n:]
-            z = self._band_solve(np.repeat(a12[:, None, :], diag.shape[1], axis=1))
-            off = k_a[n:, n:] * (1.0 - np.eye(2))
-            schur = (off + diag[n:].T[:, :, None] * np.eye(2)
-                     - np.einsum("ip,imq->mpq", a12, z))
-            self.border = (a12, z, np.linalg.inv(schur))
-
-    def _factor(self, diag, sub1, sub2):
-        """LDL^T of the pentadiagonal core: unit subdiagonals l1, l2 and pivots d.
-
-        l1 and l2 are stored broadcast over the three field components, since
-        the substitution loops run faster on contiguous operands.
-        """
-        n, modes = diag.shape
-        d = np.empty((n, modes))
-        l1 = np.zeros((n, modes))
-        l2 = np.zeros((n, modes))
-        for i in range(n):
-            di = diag[i].copy()
-            if i >= 2:
-                l2[i] = sub2[i - 2] / d[i - 2]
-                di -= l2[i] ** 2 * d[i - 2]
-            if i >= 1:
-                coupling = sub1[i - 1] - l2[i] * d[i - 2] * l1[i - 1] if i >= 2 else sub1[i - 1]
-                l1[i] = coupling / d[i - 1]
-                di -= l1[i] ** 2 * d[i - 1]
-            d[i] = di
-        self.inv_d = 1.0 / d[..., None]
-        self.l1, self.l2 = (np.repeat(l[..., None], 3, axis=2) for l in (l1, l2))
-
-    def _band_solve(self, r):
-        """Solve the core systems for r of shape (core, modes, k <= 3), in place."""
-        k = r.shape[2]
-        l1, l2 = self.l1[..., :k], self.l2[..., :k]
-        tmp = np.empty_like(r[0])
-        for i in range(1, self.core):
-            r[i] -= np.multiply(l1[i], r[i - 1], out=tmp)
-            if i >= 2:
-                r[i] -= np.multiply(l2[i], r[i - 2], out=tmp)
-        r *= self.inv_d
-        for i in range(self.core - 2, -1, -1):
-            r[i] -= np.multiply(l1[i + 1], r[i + 1], out=tmp)
-            if i + 2 < self.core:
-                r[i] -= np.multiply(l2[i + 2], r[i + 2], out=tmp)
-        return r
+            # z = W_s^-1/2 vec has z^T W_s z = I and z^T K_s z = diag(mu)
+            scale, z, tau = 1.0, root[:, None] * vec, SIGMA + mu / (eps * eps)
+        # z acting on the (s, component) pairs of a node; the limit form has one mode
+        self.s_map = np.kron(z, np.eye(3))
+        root_m = stretch_b / np.sqrt(w)   # M_a^-1/2
+        pencil = root_m[:, None] * (k_a + tau[:, None, None] * np.diag(w)) * root_m[None, :]
+        nu, q_a = np.linalg.eigh(pencil)
+        # v[m, 0] = V_m; inv[m, 0, i, k] = 1 / (c (nu_mi + lam_k)), broadcast over components
+        self.v = (root_m[:, None] * q_a)[:, None]
+        self.inv = 1.0 / (scale * (nu[:, None, :, None] + lam_b))
+        # the solve's two work arrays, (modes, 3, n_a, n_b) each
+        self.work = np.empty((2, len(tau), 3, len(w), len(lam_b)))
 
     def solve(self, r):
         """P^-1 r for a field r of the preconditioner's layout."""
         x = np.moveaxis(r, self.axis, 0)
-        shape = x.shape
-        n_a, n_b = shape[:2]
-        y = np.matmul(self.q_b.T, x.reshape(n_a, n_b, -1))
-        if self.s_map is not None:
-            y = y.reshape(n_a * n_b, -1) @ self.s_map
-        y = y.reshape(n_a, -1, 3)
-        n = self.core
-        self._band_solve(y[:n])
-        if self.border is not None:
-            a12, z, schur_inv = self.border
-            rhs = y[n:] - np.einsum("ip,imc->pmc", a12, y[:n])
-            y[n:] = np.einsum("mpq,qmc->pmc", schur_inv, rhs)
-            y[:n] -= np.einsum("imp,pmc->imc", z, y[n:])
-        if self.s_map is not None:
-            y = y.reshape(n_a * n_b, -1) @ self.s_map.T
-        x = np.matmul(self.q_b, y.reshape(n_a, n_b, -1)).reshape(shape)
-        x /= self.scale
+        n_a, n_b = x.shape[:2]
+        y, t = self.work
+        # the s-map and its transpose also move the nodes between the last and
+        # the first axes: (n_a n_b, [n_s] 3) <-> (modes, 3, n_a, n_b)
+        np.matmul(self.s_map.T, x.reshape(n_a * n_b, -1).T, out=y.reshape(-1, n_a * n_b))
+        np.matmul(y, self.q_b, out=t)
+        np.matmul(np.swapaxes(self.v, -1, -2), t, out=y)
+        y *= self.inv
+        np.matmul(self.v, y, out=t)
+        np.matmul(t, self.q_b.T, out=y)
+        x = (y.reshape(-1, n_a * n_b).T @ self.s_map.T).reshape(x.shape)
         return np.moveaxis(x, 0, self.axis)
 
 

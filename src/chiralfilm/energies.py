@@ -226,9 +226,6 @@ class LimitEnergy:
     def breakdown(self, values) -> EnergyBreakdown:
         return self._memo.forward(self._evaluate, values)[0]
 
-    def gradient(self, values) -> np.ndarray:
-        return self.breakdown_and_gradient(values)[1]
-
     def breakdown_and_gradient(self, values):
         """Breakdown and gradient; reuses the forward pass of a preceding
         `breakdown` call on bit-identical values."""
@@ -303,9 +300,6 @@ class ThinFilmEnergy:
         self._check(values)
         return _thin_h1_parts(self.grid, self.s_weights, self.diff_s, values)[1:]
 
-    def gradient(self, values) -> np.ndarray:
-        return self.breakdown_and_gradient(values)[1]
-
     def breakdown_and_gradient(self, values):
         """Breakdown and gradient; reuses the forward pass of a preceding
         `breakdown` call on bit-identical values (the adjoint scales r in place)."""
@@ -320,17 +314,17 @@ class ThinFilmEnergy:
         return bd, grad
 
 
-def optimal_corrector(grid, target, pert, values: np.ndarray, tensor=IDENTITY_TENSOR) -> np.ndarray:
-    """Tangent vector minimizing the normal-term density per node.
+def optimal_corrector(model: LimitEnergy, values: np.ndarray) -> np.ndarray:
+    """Tangent vector minimizing the normal-term density per node of the limit
+    model's grid.
 
     With the identity tensor this is (n_M(u) (x) n_M(u) - I) K(u) n_N; a
     scalar tensor a rescales it by 1/a.
     """
-    ctx = frame_sample(grid, pert)
-    kn = frame_images(pert.kmatrix(ctx, values), ctx)[..., 2, :]
-    n_m = target.normal(values)
+    kn = model.kframe.images(values)[2]
+    n_m = model.target.normal(values)
     d0 = np.sum(kn * n_m, axis=-1, keepdims=True) * n_m - kn
-    return d0 / tensor.values_on(grid)[..., None]
+    return d0 / model.a
 
 
 def recovery_field(grid, target, u0: np.ndarray, d0: np.ndarray, eps: float, n_s: int) -> DirectorField:

@@ -171,7 +171,7 @@ def run_sweep(config: SweepConfig):
     u0, limit_rep = best
     e_limit = limit_rep.energy.total
 
-    d0 = optimal_corrector(grid, target, pert, u0.values, tensor=tensor)
+    d0 = optimal_corrector(limit_model, u0.values)
     entries = []
     artifacts = {"limit_field": u0, "limit_trace": limit_rep, "eps_fields": {}, "eps_traces": {}}
 

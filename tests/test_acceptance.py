@@ -174,7 +174,7 @@ def test_criterion_3_gradient_correctness():
                 ]
                 combos += 1
                 for model, values in models:
-                    grad = model.gradient(values)
+                    grad = model.breakdown_and_gradient(values)[1]
                     checks = 0
                     while checks < 50:
                         idx = tuple(int(rng.integers(0, n)) for n in values.shape[:-1])

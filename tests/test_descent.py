@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from chiralfilm.descent import (
     MinimizeOptions,
     NumericalFailure,
     PairMemory,
+    _varying_axis,
     minimize,
     random_field,
 )
@@ -269,6 +272,27 @@ def test_preconditioner_is_spd_and_solve_inverts_it(case):
     solved = H1Preconditioner(grid, eps=eps, n_s=n_s).solve(px)
     assert solved.shape == shape
     assert np.linalg.norm(solved - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("case", ["sphere-limit", "sphere-thin", "torus-thin"])
+def test_preconditioner_inverts_at_product_scale(case, sphere_band):
+    # the 64^2 preset band in both forms, and a torus whose varying axis is periodic
+    if case.startswith("sphere"):
+        grid = sphere_band
+    else:
+        grid = build_surface(SurfaceSpec("torus", 48, 32, major_radius=2.0, minor_radius=0.5))
+        assert (grid.periodic_u, grid.periodic_v)[_varying_axis(grid)]
+    eps, n_s = (0.025, 8) if case.endswith("thin") else (None, None)
+    x = np.random.default_rng(5).standard_normal(grid.shape + ((n_s,) if n_s else ()) + (3,))
+    solved = H1Preconditioner(grid, eps=eps, n_s=n_s).solve(apply_h1_model(grid, x, eps, n_s))
+    assert np.linalg.norm(solved - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_preconditioner_needs_one_constant_axis(small_torus):
+    bumped = small_torus.area_weight.copy()
+    bumped[3, 5] *= 1.01  # now varies along both chart axes
+    with pytest.raises(ValueError, match="constant along one chart axis"):
+        H1Preconditioner(dataclasses.replace(small_torus, area_weight=bumped))
 
 
 @st.composite

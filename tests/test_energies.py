@@ -169,7 +169,7 @@ def test_bulk_ellipsoid_anisotropy_matches_cross_product_density(small_torus):
 def test_optimal_corrector_properties(small_torus, rng):
     pert = BulkDMI(1.2)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=4)
-    d0 = optimal_corrector(small_torus, ELLIPSOID, pert, f.values)
+    d0 = optimal_corrector(LimitEnergy(small_torus, ELLIPSOID, pert), f.values)
 
     n_m = ELLIPSOID.normal(f.values)
     assert np.max(np.abs(np.sum(d0 * n_m, axis=-1))) < 1e-12
@@ -180,16 +180,16 @@ def test_optimal_corrector_properties(small_torus, rng):
     expected = np.sum(kn * n_m, axis=-1) ** 2
     assert np.max(np.abs(plugged - expected)) < 1e-12
 
-    assert np.all(optimal_corrector(small_torus, ELLIPSOID, ZeroPerturbation(), f.values) == 0.0)
+    assert np.all(optimal_corrector(LimitEnergy(small_torus, ELLIPSOID, ZeroPerturbation()), f.values) == 0.0)
 
-    d0_interf = optimal_corrector(small_torus, ELLIPSOID, InterfacialDMI(2.0), f.values)
+    d0_interf = optimal_corrector(LimitEnergy(small_torus, ELLIPSOID, InterfacialDMI(2.0)), f.values)
     assert np.max(np.abs(d0_interf)) < 1e-14
 
 
 def test_optimal_corrector_against_tangent_grid_search(small_torus, rng):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=5)
-    d0 = optimal_corrector(small_torus, ELLIPSOID, pert, f.values)
+    d0 = optimal_corrector(LimitEnergy(small_torus, ELLIPSOID, pert), f.values)
     ctx = frame_sample(small_torus, pert)
     kn_all = np.einsum("...ij,...j->...i", pert.kmatrix(ctx, f.values), small_torus.normal)
 
@@ -232,7 +232,7 @@ def test_recovery_field_properties(small_torus, rng):
     for k in range(5):
         assert np.array_equal(rec.values[:, :, k, :], u0.values)
 
-    d0 = optimal_corrector(small_torus, SPHERE, pert, u0.values)
+    d0 = optimal_corrector(LimitEnergy(small_torus, SPHERE, pert), u0.values)
     rec = recovery_field(small_torus, SPHERE, u0.values, d0, 0.1, 5)
     # middle layer (s = 0) is an exact copy
     assert np.array_equal(rec.values[:, :, 2, :], u0.values)
@@ -252,7 +252,7 @@ def test_recovery_energy_decreases_with_eps(sphere_band):
     mat = 0.5 * rng.standard_normal((3, 3))
     raw = sphere_band.points @ mat.T + np.array([0.2, -0.1, 1.1])
     u0 = DirectorField(SPHERE.project(raw), on_target=True)
-    d0 = optimal_corrector(sphere_band, SPHERE, pert, u0.values)
+    d0 = optimal_corrector(LimitEnergy(sphere_band, SPHERE, pert), u0.values)
     e_lim = LimitEnergy(sphere_band, SPHERE, pert).breakdown(u0.values).total
     gaps = []
     for eps in (0.2, 0.1, 0.05):
@@ -332,7 +332,7 @@ def test_temperature_constant_saturation_scaling(small_torus, rng):
 
 def assert_gradient_matches_finite_differences(model, values, rng, points):
     """Central differences (step 1e-5) at `points` random nodes, all three components."""
-    grad = model.gradient(values)
+    grad = model.breakdown_and_gradient(values)[1]
     step = 1e-5
     for _ in range(points):
         idx = tuple(int(rng.integers(0, s)) for s in values.shape[:-1])
@@ -420,7 +420,7 @@ def test_gradient_constant_field_zero_perturbation(small_torus):
     const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (3,)).copy()
     )
-    grad = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).gradient(const.values)
+    grad = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).breakdown_and_gradient(const.values)[1]
     assert np.max(np.abs(grad)) < 1e-14
 
 
@@ -429,7 +429,7 @@ def test_gradient_directional_derivative_quadratic(small_torus, rng):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=17)
     model = LimitEnergy(small_torus, ELLIPSOID, pert)
-    grad = model.gradient(f.values)
+    grad = model.breakdown_and_gradient(f.values)[1]
     delta = rng.standard_normal(f.values.shape)
     predicted = float(np.sum(grad * delta))
     errors = []
@@ -444,10 +444,9 @@ def test_gradient_directional_derivative_quadratic(small_torus, rng):
 def test_general_gradient_at_identity_matches_plain(small_torus):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, SPHERE, "surface", seed=18)
-    g_plain = LimitEnergy(small_torus, SPHERE, pert).gradient(f.values)
-    g_ident = LimitEnergy(small_torus, SPHERE, pert, tensor=EllipticTensor("identity")).gradient(
-        f.values
-    )
+    g_plain = LimitEnergy(small_torus, SPHERE, pert).breakdown_and_gradient(f.values)[1]
+    ident = LimitEnergy(small_torus, SPHERE, pert, tensor=EllipticTensor("identity"))
+    g_ident = ident.breakdown_and_gradient(f.values)[1]
     assert np.array_equal(g_plain, g_ident)
 
 
@@ -558,7 +557,7 @@ def test_layout_and_shape_validation(small_torus):
     with pytest.raises(EnergyError):
         LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).breakdown(thin.values)
     with pytest.raises(EnergyError):
-        LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).gradient(thin.values)
+        LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).breakdown_and_gradient(thin.values)
     wrong = DirectorField(np.zeros((4, 4, 3)))
     with pytest.raises(EnergyError):
         LimitEnergy(small_torus, SPHERE, BulkDMI(1.0)).breakdown(wrong.values)

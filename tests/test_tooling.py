@@ -4,7 +4,8 @@ The benchmark scripts under `benchmarks/` reach into the package by name, so
 one test runs the parts they depend on: a change to the package that breaks
 `benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails here, and
 another runs the correctness check `benchmarks/run.py` applies to every sweep.
-One more keeps the package free of code only the tests call.  All of them read
+One more keeps the package free of code only the tests call, and one keeps the
+README's configuration section naming every key and kind.  All of them read
 `benchmarks/` and change nothing in it.
 """
 
@@ -71,14 +72,39 @@ def _defined_names(tree):
                         and not sub.name.startswith("__"))
 
 
+def _referenced_names(tree):
+    """The names code refers to: identifiers, attributes, imported names and string
+    constants (the tracer patches methods by their name).  Comments and docstrings
+    do not count, since a docstring is a string constant only as a whole."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 def test_package_defines_only_what_src_or_benchmarks_use():
     sources = (*PACKAGE.rglob("*.py"), *BENCHMARKS.rglob("*.py"))
-    lines = [line for p in sources for line in p.read_text().splitlines()]
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name in _defined_names(ast.parse(path.read_text())):
-            word = re.compile(rf"\b{name}\b")
-            own = re.compile(rf"^\s*(def|class) {name}\b")
-            if not any(word.search(line) and not own.match(line) for line in lines):
-                unused.append(f"{path.name}: {name}")
+    used = {name for p in sources for name in _referenced_names(ast.parse(p.read_text()))}
+    unused = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _defined_names(ast.parse(path.read_text())) if name not in used]
     assert not unused, f"defined under src/chiralfilm but used only by tests, if at all: {unused}"
+
+
+def test_readme_configuration_names_every_key_and_kind():
+    from chiralfilm import config
+
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Configuration")
+    section = readme[start:readme.index("\n## ", start)]
+    named = set(re.findall(r"`([^`]+)`", section))
+    kinds = {**config._KINDS, "scalar field": config._SCALAR_FIELD_KINDS}
+    wanted = {*config._VALUES, *config._ROOT}
+    wanted.update(name for table in kinds.values() for name in table)
+    wanted.update(p for table in kinds.values() for kind in table.values() for p in kind.params)
+    wanted.update(p for params in config._SETTINGS.values() for p in params)
+    assert not wanted - named, f"README's Configuration section does not name {sorted(wanted - named)}"
