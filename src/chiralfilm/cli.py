@@ -87,6 +87,14 @@ def _emit(args, payload):
     print(dumps_canonical(payload))
 
 
+def _number_or_text(token):
+    """A float, or the token itself when it is not one, for the value rules to reject."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
 def _load(args, seed=None, eps_list=None):
     """The resolved config, with the command-line overrides applied to the raw
     document first so that they pass the same checks as the file."""
@@ -100,7 +108,7 @@ def _load(args, seed=None, eps_list=None):
     if eps_list is not None:
         sweep = raw.setdefault("sweep", {})
         if isinstance(sweep, dict):  # anything else fails resolve_config below
-            sweep["eps_list"] = [float(tok) for tok in eps_list.split(",") if tok]
+            sweep["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",") if tok]
     return resolve_config(raw)
 
 
@@ -165,11 +173,15 @@ def _cmd_eval_energy(args):
     cfg = _load(args)
     run = build_objects(cfg)
     field = read_field_csv(run.grid, args.field)
+    want = "thin" if args.form == "thin" else "surface"
+    if field.layout != want:
+        raise ValueError(f"field file {args.field} holds a {field.layout} field; "
+                         f"--form {args.form} expects a {want} field")
     if args.form == "thin":
         model = ThinFilmEnergy(run.grid, run.pert, args.eps, field.n_s, tensor=run.tensor)
     else:
         model = LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
-    bd = model.breakdown(field.values)
+    bd = model.breakdown(field.values)[0]
     _echo_config(cfg, cfg["output_dir"])
     _emit(args, bd.as_dict())
     return 0

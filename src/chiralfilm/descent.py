@@ -225,7 +225,7 @@ class PairMemory:
 
 
 def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = MinimizeOptions()):
-    """Minimize model.breakdown over fields constrained to the target manifold.
+    """Minimize the model's energy over fields constrained to the target manifold.
 
     A start not flagged `on_target` is projected first; a start whose shape
     does not fit the model raises EnergyError.  Returns (DirectorField,
@@ -236,8 +236,9 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
     if not np.isfinite(bd.total):
         raise NumericalFailure("initial energy is not finite")
 
-    # arrays are deleted as soon as they are dead, which keeps the peak memory
-    # of the energy passes close to that of the stored pairs
+    # arrays are deleted as soon as they are dead, a trial's forward state
+    # included, which keeps the peak memory of the energy passes close to that
+    # of the stored pairs
     normal = target.normal(x)
     g = tangent_part(normal, g_raw)
     del g_raw
@@ -277,21 +278,24 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             cand = target.project(x + step * d)
-            cand_bd = model.breakdown(cand)
+            cand_bd, state = model.breakdown(cand)
             report.trials += 1
             if not np.isfinite(cand_bd.total):
                 raise NumericalFailure(f"energy became non-finite at iteration {it}")
             if cand_bd.total <= bd.total + ARMIJO_C * step * slope:
                 accepted = True
                 break
+            del state
             step *= SHRINK
         if not accepted:
             report.termination = "line_search_failure"
             break
         del d
 
-        # the new pair lives in the tangent space at the accepted point
-        g_raw = model.breakdown_and_gradient(cand)[1]
+        # the new pair lives in the tangent space at the accepted point; the
+        # gradient runs only the adjoint of the accepted trial's forward pass
+        g_raw = model.breakdown_and_gradient(cand, state)[1]
+        del state
         report.gradient_evaluations += 1
         normal = target.normal(cand)
         y = tangent_part(normal, g)

@@ -135,37 +135,6 @@ class KFrame:
         return rows.reshape(y.shape)
 
 
-def _bits(values):
-    return values.shape, values.dtype, values.tobytes()
-
-
-class _ForwardMemo:
-    """One slot holding the last forward pass of `breakdown`, keyed by the bits
-    of its input, so that `breakdown_and_gradient` on the same values (the
-    accepted line-search trial) runs only the adjoint part."""
-
-    def __init__(self):
-        self._key = self._state = None
-
-    def forward(self, evaluate, values):
-        """evaluate(values), kept in the slot; the previous state is dropped first."""
-        self._key = self._state = None
-        state = evaluate(values)
-        self._key, self._state = _bits(values), state
-        return state
-
-    def take(self, evaluate, values):
-        """The kept state if it came from bit-identical values, else evaluate(values).
-
-        Empties the slot either way, because the caller may overwrite the state.
-        """
-        key, state = self._key, self._state
-        self._key = self._state = None
-        if key is not None and key == _bits(values):
-            return state
-        return evaluate(values)
-
-
 def _thin_derivatives(grid, diff_s, values):
     """(d_{tau_1} u, d_{tau_2} u, d_s u) of a field on N x s-layers."""
     return [
@@ -197,7 +166,6 @@ class LimitEnergy:
         self.weight = grid.area_weight
         self.a = tensor.values_on(grid)[..., None]
         self.kframe = KFrame(grid, pert)
-        self._memo = _ForwardMemo()
 
     def _check(self, values):
         if values.shape != self.grid.shape + (3,):
@@ -223,13 +191,16 @@ class LimitEnergy:
         bd = EnergyBreakdown.of(tangential, np.einsum("uv,uv,uv->", rho, rho, w))
         return bd, r, n_m, rho
 
-    def breakdown(self, values) -> EnergyBreakdown:
-        return self._memo.forward(self._evaluate, values)[0]
+    def breakdown(self, values):
+        """(EnergyBreakdown, state); the state is the forward pass, which
+        `breakdown_and_gradient` on the same values takes in place of its own."""
+        state = self._evaluate(values)
+        return state[0], state
 
-    def breakdown_and_gradient(self, values):
-        """Breakdown and gradient; reuses the forward pass of a preceding
-        `breakdown` call on bit-identical values."""
-        bd, r, n_m, rho = self._memo.take(self._evaluate, values)
+    def breakdown_and_gradient(self, values, state=None):
+        """Breakdown and gradient; `state` is `breakdown(values)[1]` on these
+        values, and without it the forward pass runs here."""
+        bd, r, n_m, rho = state or self._evaluate(values)
         grid, w = self.grid, self.weight
         kn = r[2]
         y = 2.0 * w[..., None] * r
@@ -266,7 +237,6 @@ class ThinFilmEnergy:
         a = tensor.values_on(grid)[:, :, None]
         self._row_scale = ((a / f1)[..., None], (a / f2)[..., None], (self.eps / a)[..., None])
         self.kframe = KFrame(grid, pert)
-        self._memo = _ForwardMemo()
 
     def _check(self, values):
         want = self.grid.shape + (self.n_s, 3)
@@ -292,18 +262,22 @@ class ThinFilmEnergy:
         sums = [np.einsum("uvsk,uvsk,uvs->", row, row, self.weight) for row in r]
         return EnergyBreakdown.of(0.5 * (sums[0] + sums[1]), 0.5 * sums[2]), r
 
-    def breakdown(self, values) -> EnergyBreakdown:
-        return self._memo.forward(self._evaluate, values)[0]
+    def breakdown(self, values):
+        """(EnergyBreakdown, state); the state is the forward pass, which
+        `breakdown_and_gradient` on the same values takes in place of its own."""
+        state = self._evaluate(values)
+        return state[0], state
 
     def seminorm_shares(self, values):
         """(tangential, s) squared H^1 seminorms of the raw field on N x I."""
         self._check(values)
         return _thin_h1_parts(self.grid, self.s_weights, self.diff_s, values)[1:]
 
-    def breakdown_and_gradient(self, values):
-        """Breakdown and gradient; reuses the forward pass of a preceding
-        `breakdown` call on bit-identical values (the adjoint scales r in place)."""
-        bd, r = self._memo.take(self._evaluate, values)
+    def breakdown_and_gradient(self, values, state=None):
+        """Breakdown and gradient; `state` is `breakdown(values)[1]` on these
+        values, and without it the forward pass runs here.  The adjoint scales
+        the state's residuals in place, so a state serves one gradient."""
+        bd, r = state or self._evaluate(values)
         grid = self.grid
         r *= self.weight[..., None]
         grad = self.kframe.couplings(r).sum(axis=0)

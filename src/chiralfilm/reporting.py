@@ -106,6 +106,10 @@ def read_field_csv(grid, path: str) -> DirectorField:
         raise ReportError(f"cannot read {path}: {exc}") from exc
     if not np.all(np.isfinite(rows)):
         raise EnergyError(f"field file {path} holds a non-finite value")
+    if rows.size and rows.shape[1] != len(header):
+        raise EnergyError(
+            f"field file {path} has {rows.shape[1]} columns, its header names {len(header)}"
+        )
     n_u, n_v = grid.shape
     if header == ["u", "v", "ux", "uy", "uz"]:
         if rows.shape != (n_u * n_v, 5):

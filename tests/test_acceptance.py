@@ -90,14 +90,14 @@ def test_criterion_1_pullback_equivalence():
         fine = make(128)
         for trial in range(20):
             field, params = smooth_thin_field(coarse, target, 8, rng)
-            e_pull = ThinFilmEnergy(coarse, pert, eps, field.n_s).breakdown(field.values).total
+            e_pull = ThinFilmEnergy(coarse, pert, eps, field.n_s).breakdown(field.values)[0].total
             e_direct = direct_tubular_energy(coarse, pert, eps, field)
             disc = abs(e_pull - e_direct) / max(e_pull, 1.0)
             worst = max(worst, disc)
             assert disc <= 5e-3
             if trial < 6:
                 refined = resample_thin_field(fine, target, 16, params)
-                e_pull_f = ThinFilmEnergy(fine, pert, eps, refined.n_s).breakdown(refined.values).total
+                e_pull_f = ThinFilmEnergy(fine, pert, eps, refined.n_s).breakdown(refined.values)[0].total
                 e_direct_f = direct_tubular_energy(fine, pert, eps, refined)
                 disc_f = abs(e_pull_f - e_direct_f) / max(e_pull_f, 1.0)
                 orders.append(np.log2(disc / disc_f))
@@ -183,7 +183,7 @@ def test_criterion_3_gradient_correctness():
                         plus[idx + (comp,)] += step
                         minus = values.copy()
                         minus[idx + (comp,)] -= step
-                        fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
+                        fd = (model.breakdown(plus)[0].total - model.breakdown(minus)[0].total) / (2 * step)
                         ga = grad[idx + (comp,)]
                         rel = abs(ga - fd) / max(abs(ga), abs(fd), 1.0)
                         worst = max(worst, rel)
@@ -228,7 +228,7 @@ def test_criterion_5_analytic_band_value():
     const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.shape + (3,)).copy()
     )
-    bd = LimitEnergy(grid, SphereTarget(1.0), BulkDMI(1.0)).breakdown(const.values)
+    bd = LimitEnergy(grid, SphereTarget(1.0), BulkDMI(1.0)).breakdown(const.values)[0]
     oracle = band_oracle_one_plus_nz2(0.15)
     rel = abs(bd.total - oracle) / oracle
     assert rel <= 1e-3
@@ -315,12 +315,12 @@ def test_criterion_8_generalized_limit_reduction():
     worst_ident = 0.0
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=80 + seed)
-        plain = LimitEnergy(grid, ellipsoid, pert).breakdown(f.values)
+        plain = LimitEnergy(grid, ellipsoid, pert).breakdown(f.values)[0]
         ident = LimitEnergy(grid, ellipsoid, pert,
-                            tensor=EllipticTensor("identity")).breakdown(f.values)
+                            tensor=EllipticTensor("identity")).breakdown(f.values)[0]
         assert plain.total == ident.total  # definitional reduction, bit-exact
         const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-        near = LimitEnergy(grid, ellipsoid, pert, tensor=const1).breakdown(f.values)
+        near = LimitEnergy(grid, ellipsoid, pert, tensor=const1).breakdown(f.values)[0]
         worst_ident = max(worst_ident, abs(near.total - plain.total) / max(plain.total, 1.0))
         assert worst_ident <= 1e-12
 
@@ -331,8 +331,8 @@ def test_criterion_8_generalized_limit_reduction():
     worst_temp = 0.0
     for seed in range(5):
         f = random_field(grid, ellipsoid, "surface", seed=90 + seed)
-        lhs = LimitEnergy(grid, ellipsoid, temp, tensor=tensor).breakdown(f.values)
-        rhs = LimitEnergy(grid, ellipsoid, scaled).breakdown(f.values)
+        lhs = LimitEnergy(grid, ellipsoid, temp, tensor=tensor).breakdown(f.values)[0]
+        rhs = LimitEnergy(grid, ellipsoid, scaled).breakdown(f.values)[0]
         rel = abs(lhs.total - c**2 * rhs.total) / max(abs(lhs.total), 1.0)
         worst_temp = max(worst_temp, rel)
         assert rel <= 1e-10

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_eval_energy_matches_library(tmp_path, capsys):
     assert main(["eval-energy", "--config", path, "--form", "limit",
                  "--field", str(field_path), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    expected = LimitEnergy(grid, target, pert).breakdown(field.values)
+    expected = LimitEnergy(grid, target, pert).breakdown(field.values)[0]
     assert got["tangential"] == expected.tangential
     assert got["normal_or_anisotropy"] == expected.normal_or_anisotropy
     assert got["total"] == expected.total
@@ -215,7 +216,7 @@ def test_eval_energy_matches_library(tmp_path, capsys):
     assert main(["eval-energy", "--config", path, "--form", "thin", "--eps", "0.1",
                  "--field", str(thin_path), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    expected = ThinFilmEnergy(grid, pert, 0.1, thin.n_s).breakdown(thin.values)
+    expected = ThinFilmEnergy(grid, pert, 0.1, thin.n_s).breakdown(thin.values)[0]
     assert got["total"] == expected.total
 
 
@@ -459,6 +460,59 @@ def test_eval_energy_rejects_a_non_finite_field(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err and str(field_path) in captured.err
+
+
+def _with_columns(path, count):
+    """Rewrite a field CSV in place with `count` data columns under its own header."""
+    header, *rows = path.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    cells = [(c + c)[:count] for c in cells]
+    path.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+
+
+def test_field_file_with_a_wrong_column_count_exits_1(tmp_path, capsys):
+    path = write_tiny_config(tmp_path, tmp_path / "out")
+    run = build_objects(resolve_config(read_config(path)))
+    cases = (("surface", ["--form", "limit"], 6),
+             ("thin", ["--form", "thin", "--eps", "0.1"], 7),
+             ("thin", ["--form", "thin", "--eps", "0.1"], 5))
+    for layout, form, count in cases:
+        field_path = tmp_path / f"{layout}.csv"
+        write_field_csv(run.grid, random_field(run.grid, run.target, layout, n_s=8, seed=5),
+                        str(field_path))
+        _with_columns(field_path, count)
+        names = 5 if layout == "surface" else 6
+        message = f"field file {field_path} has {count} columns, its header names {names}"
+        with pytest.raises(EnergyError, match=re.escape(message)):
+            read_field_csv(run.grid, str(field_path))
+        assert main(["eval-energy", "--config", path, *form, "--field", str(field_path),
+                     "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_eval_energy_names_the_layouts_of_a_mismatched_field(tmp_path, capsys):
+    path = write_tiny_config(tmp_path, tmp_path / "out")
+    run = build_objects(resolve_config(read_config(path)))
+    for layout, form, want in (("surface", ["--form", "thin", "--eps", "0.1"], "thin"),
+                               ("thin", ["--form", "limit"], "surface")):
+        field_path = tmp_path / f"{layout}.csv"
+        write_field_csv(run.grid, random_field(run.grid, run.target, layout, n_s=4, seed=5),
+                        str(field_path))
+        assert main(["eval-energy", "--config", path, *form, "--field", str(field_path),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"field file {field_path} holds a {layout} field" in err
+        assert f"expects a {want} field" in err
+
+
+def test_sweep_eps_list_rejects_a_non_numeric_token(tmp_path, capsys):
+    # an unparsable token meets the same value rule as a non-finite one
+    path = write_tiny_config(tmp_path, tmp_path / "bad")
+    for override in ("0.2,abc", "0.2,nan"):
+        assert main(["sweep", "--config", path, "--eps-list", override, "--quiet"]) == 1, override
+        assert ("config invalid at sweep/eps_list: must be a non-empty list of positive finite "
+                "numbers") in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "report.json").exists()
 
 
 def _actions(parser, dest):

@@ -87,7 +87,7 @@ def test_helix_is_near_stationary_for_matched_chirality():
     init = DirectorField(helix)
 
     model = LimitEnergy(grid, SPHERE, BulkDMI(kappa))
-    start = model.breakdown(init.values)
+    start = model.breakdown(init.values)[0]
     # energy is dominated by the transverse residual kappa^2 |e2 x m|^2,
     # whose chart quadrature is kappa^2 * mean(cos^2) = kappa^2 / 2
     residual = kappa**2 * 0.5
@@ -132,10 +132,10 @@ def test_nan_energy_aborts():
         layout = "surface"
 
         def breakdown(self, values):
-            return EnergyBreakdown.of(float("nan"), 0.0)
+            return EnergyBreakdown.of(float("nan"), 0.0), None
 
-        def breakdown_and_gradient(self, values):
-            return self.breakdown(values), np.zeros_like(values)
+        def breakdown_and_gradient(self, values, state=None):
+            return self.breakdown(values)[0], np.zeros_like(values)
 
     grid = build_surface(SurfaceSpec("flat_patch", 8, 8))
     init = random_field(grid, SPHERE, "surface", seed=0)

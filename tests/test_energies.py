@@ -61,12 +61,12 @@ def smooth_thin_field(grid, target, n_s, rng, scale=0.4):
 def test_breakdown_additivity_and_nonnegativity(small_torus, rng):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, SPHERE, "surface", seed=1)
-    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)
+    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)[0]
     assert bd.total == bd.tangential + bd.normal_or_anisotropy
     assert bd.tangential >= 0 and bd.normal_or_anisotropy >= 0
 
     ft = random_field(small_torus, SPHERE, "thin", n_s=6, seed=2)
-    bd = ThinFilmEnergy(small_torus, pert, 0.1, ft.n_s).breakdown(ft.values)
+    bd = ThinFilmEnergy(small_torus, pert, 0.1, ft.n_s).breakdown(ft.values)[0]
     assert bd.total == bd.tangential + bd.normal_or_anisotropy
     assert bd.tangential >= 0 and bd.normal_or_anisotropy >= 0
 
@@ -76,11 +76,11 @@ def test_constant_field_zero_perturbation_gives_zero(small_torus):
     const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (3,)).copy()
     )
-    assert LimitEnergy(small_torus, SPHERE, pert).breakdown(const.values).total == 0.0
+    assert LimitEnergy(small_torus, SPHERE, pert).breakdown(const.values)[0].total == 0.0
     thin = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), small_torus.shape + (6, 3)).copy()
     )
-    assert ThinFilmEnergy(small_torus, pert, 0.1, thin.n_s).breakdown(thin.values).total == 0.0
+    assert ThinFilmEnergy(small_torus, pert, 0.1, thin.n_s).breakdown(thin.values)[0].total == 0.0
 
 
 def test_flat_patch_s_constant_reduction(flat_patch, rng):
@@ -91,8 +91,8 @@ def test_flat_patch_s_constant_reduction(flat_patch, rng):
     thin_values = np.repeat(surf.values[:, :, None, :], 8, axis=2)
     thin = DirectorField(thin_values)
 
-    bd_thin = ThinFilmEnergy(flat_patch, pert, 0.2, thin.n_s).breakdown(thin.values)
-    bd_lim = LimitEnergy(flat_patch, SPHERE, pert).breakdown(surf.values)
+    bd_thin = ThinFilmEnergy(flat_patch, pert, 0.2, thin.n_s).breakdown(thin.values)[0]
+    bd_lim = LimitEnergy(flat_patch, SPHERE, pert).breakdown(surf.values)[0]
     assert bd_thin.tangential == pytest.approx(bd_lim.tangential, rel=1e-10)
 
     ctx = frame_sample(flat_patch, pert)
@@ -106,7 +106,7 @@ def test_limit_energy_constant_field_band_oracle(sphere_band):
     const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), sphere_band.shape + (3,)).copy()
     )
-    bd = LimitEnergy(sphere_band, SPHERE, BulkDMI(1.0)).breakdown(const.values)
+    bd = LimitEnergy(sphere_band, SPHERE, BulkDMI(1.0)).breakdown(const.values)[0]
     oracle = band_integral_of_one_plus_nz2(0.15)
     assert abs(bd.tangential - oracle) / oracle < 1e-3
     assert bd.normal_or_anisotropy == 0.0
@@ -119,7 +119,7 @@ def test_thin_energy_constant_field_band_oracle(sphere_band):
     const = DirectorField(
         np.broadcast_to(np.array([0.0, 0.0, 1.0]), sphere_band.shape + (n_s, 3)).copy()
     )
-    bd = ThinFilmEnergy(sphere_band, BulkDMI(1.0), eps, n_s).breakdown(const.values)
+    bd = ThinFilmEnergy(sphere_band, BulkDMI(1.0), eps, n_s).breakdown(const.values)[0]
     s, weights, _ = s_quadrature(n_s)
     s_factor = 0.5 * np.sum(weights * (1.0 + eps * s) ** 2)
     oracle = band_integral_of_one_plus_nz2(0.15) * s_factor
@@ -139,7 +139,7 @@ def test_thin_energy_constant_field_band_oracle(sphere_band):
 )
 def test_anisotropy_term_vanishing(small_torus, pert, target, vanishes, rng):
     f = random_field(small_torus, target, "surface", seed=11)
-    bd = LimitEnergy(small_torus, target, pert).breakdown(f.values)
+    bd = LimitEnergy(small_torus, target, pert).breakdown(f.values)[0]
     if vanishes:
         assert bd.normal_or_anisotropy <= 1e-14 * max(bd.total, 1.0)
     else:
@@ -150,7 +150,7 @@ def test_temperature_anisotropy_vanishes_on_sphere_target(small_torus, rng):
     pert = TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)),
                           np.eye(3))
     f = random_field(small_torus, SPHERE, "surface", seed=12)
-    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)
+    bd = LimitEnergy(small_torus, SPHERE, pert).breakdown(f.values)[0]
     assert bd.normal_or_anisotropy <= 1e-14 * max(bd.total, 1.0)
 
 
@@ -159,7 +159,7 @@ def test_bulk_ellipsoid_anisotropy_matches_cross_product_density(small_torus):
     kappa = 1.4
     pert = BulkDMI(kappa)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=13)
-    bd = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)
+    bd = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)[0]
     n_m = ELLIPSOID.normal(f.values)
     density = kappa**2 * np.sum(np.cross(n_m, f.values) * small_torus.normal, axis=-1) ** 2
     expected = float(np.sum(small_torus.area_weight * density))
@@ -253,11 +253,11 @@ def test_recovery_energy_decreases_with_eps(sphere_band):
     raw = sphere_band.points @ mat.T + np.array([0.2, -0.1, 1.1])
     u0 = DirectorField(SPHERE.project(raw), on_target=True)
     d0 = optimal_corrector(LimitEnergy(sphere_band, SPHERE, pert), u0.values)
-    e_lim = LimitEnergy(sphere_band, SPHERE, pert).breakdown(u0.values).total
+    e_lim = LimitEnergy(sphere_band, SPHERE, pert).breakdown(u0.values)[0].total
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         rec = recovery_field(sphere_band, SPHERE, u0.values, d0, eps, 8)
-        gaps.append(ThinFilmEnergy(sphere_band, pert, eps, rec.n_s).breakdown(rec.values).total - e_lim)
+        gaps.append(ThinFilmEnergy(sphere_band, pert, eps, rec.n_s).breakdown(rec.values)[0].total - e_lim)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] > -1e-6
 
@@ -285,20 +285,20 @@ def test_h1_distance_properties(small_torus, rng):
 def test_limit_general_reductions(small_torus, rng):
     pert = BulkDMI(0.9)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=10)
-    plain = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)
+    plain = LimitEnergy(small_torus, ELLIPSOID, pert).breakdown(f.values)[0]
     ident = LimitEnergy(small_torus, ELLIPSOID, pert,
-                        tensor=EllipticTensor("identity")).breakdown(f.values)
+                        tensor=EllipticTensor("identity")).breakdown(f.values)[0]
     assert plain.tangential == ident.tangential
     assert plain.normal_or_anisotropy == ident.normal_or_anisotropy
 
     const1 = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=1.0))
-    near = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=const1).breakdown(f.values)
+    near = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=const1).breakdown(f.values)[0]
     assert near.total == pytest.approx(plain.total, rel=1e-12)
 
     # a scalar tensor cancels from the anisotropy quotient, so a non-constant
     # one leaves that term exactly at its identity-tensor value
     affine = EllipticTensor("scalar_field", ScalarSurfaceField("affine", c0=1.5, c=(0.2, -0.1, 0.3)))
-    varied = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=affine).breakdown(f.values)
+    varied = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=affine).breakdown(f.values)[0]
     assert varied.normal_or_anisotropy == ident.normal_or_anisotropy
     assert varied.tangential != ident.tangential
 
@@ -306,8 +306,8 @@ def test_limit_general_reductions(small_torus, rng):
 def test_limit_general_doubling_scales_dirichlet(small_torus):
     f = random_field(small_torus, SPHERE, "surface", seed=14)
     two = EllipticTensor("scalar_field", ScalarSurfaceField("constant", c0=2.0))
-    plain = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).breakdown(f.values)
-    doubled = LimitEnergy(small_torus, SPHERE, ZeroPerturbation(), tensor=two).breakdown(f.values)
+    plain = LimitEnergy(small_torus, SPHERE, ZeroPerturbation()).breakdown(f.values)[0]
+    doubled = LimitEnergy(small_torus, SPHERE, ZeroPerturbation(), tensor=two).breakdown(f.values)[0]
     assert doubled.tangential == pytest.approx(4.0 * plain.tangential, rel=1e-12)
     assert doubled.normal_or_anisotropy == 0.0
 
@@ -324,8 +324,8 @@ def test_temperature_constant_saturation_scaling(small_torus, rng):
     aniso = AnisotropicDMI(coupling / c)
 
     f = random_field(small_torus, ELLIPSOID, "surface", seed=15)
-    lhs = LimitEnergy(small_torus, ELLIPSOID, temp, tensor=tensor).breakdown(f.values)
-    rhs = LimitEnergy(small_torus, ELLIPSOID, aniso).breakdown(f.values)
+    lhs = LimitEnergy(small_torus, ELLIPSOID, temp, tensor=tensor).breakdown(f.values)[0]
+    rhs = LimitEnergy(small_torus, ELLIPSOID, aniso).breakdown(f.values)[0]
     assert lhs.tangential == pytest.approx(c**2 * rhs.tangential, rel=1e-10)
     assert lhs.normal_or_anisotropy == pytest.approx(c**2 * rhs.normal_or_anisotropy, rel=1e-10)
 
@@ -341,7 +341,7 @@ def assert_gradient_matches_finite_differences(model, values, rng, points):
             plus[idx + (comp,)] += step
             minus = values.copy()
             minus[idx + (comp,)] -= step
-            fd = (model.breakdown(plus).total - model.breakdown(minus).total) / (2 * step)
+            fd = (model.breakdown(plus)[0].total - model.breakdown(minus)[0].total) / (2 * step)
             ga = grad[idx + (comp,)]
             assert abs(ga - fd) <= 1e-6 * max(abs(ga), abs(fd), 1.0)
 
@@ -434,8 +434,8 @@ def test_gradient_directional_derivative_quadratic(small_torus, rng):
     predicted = float(np.sum(grad * delta))
     errors = []
     for t in (1e-3, 5e-4, 2.5e-4):
-        e_plus = model.breakdown(f.values + t * delta).total
-        e_minus = model.breakdown(f.values - t * delta).total
+        e_plus = model.breakdown(f.values + t * delta)[0].total
+        e_minus = model.breakdown(f.values - t * delta)[0].total
         errors.append(abs((e_plus - e_minus) / (2 * t) - predicted))
     # central differences converge at second order in the step
     assert errors[0] / errors[2] > 8.0
@@ -464,18 +464,18 @@ def test_gradient_reuses_only_a_forward_pass_of_identical_values(small_torus):
             w = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=24).values
             want_bd, want_g = fresh().breakdown_and_gradient(v)
             model = fresh()
-            assert model.breakdown(v) == want_bd
-            # after breakdown(v) the gradient reuses its forward pass, bit for bit
+            bd, state = model.breakdown(v)
+            assert bd == want_bd
+            # the gradient from the forward state of v is the fresh one, bit for bit
+            bd, g = model.breakdown_and_gradient(v, state)
+            assert bd == want_bd and g.tobytes() == want_g.tobytes()
+            # without a state the forward pass runs again, to the same bits
             bd, g = model.breakdown_and_gradient(v)
             assert bd == want_bd and g.tobytes() == want_g.tobytes()
-            # the reused state is consumed: a second call recomputes it
-            bd, g = model.breakdown_and_gradient(v)
-            assert bd == want_bd and g.tobytes() == want_g.tobytes()
-            # an in-place change after breakdown is seen, not served from the memo
-            moved = v.copy()
-            model.breakdown(moved)
-            moved[...] = w
-            bd, g = model.breakdown_and_gradient(moved)
+            # the model keeps no state of its own: a forward pass of v leaves the
+            # gradient at w untouched
+            model.breakdown(v)
+            bd, g = model.breakdown_and_gradient(w)
             want_bd, want_g = fresh().breakdown_and_gradient(w)
             assert bd == want_bd and g.tobytes() == want_g.tobytes()
 
@@ -500,10 +500,10 @@ def test_precomputed_basis_matches_per_iterate_k(small_torus, layout):
     f = random_field(small_torus, ELLIPSOID, layout, n_s=6, seed=22)
     for kind, pert in PERTURBATION_PER_KIND.items():
         if layout == "surface":
-            got = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor).breakdown(f.values)
+            got = LimitEnergy(small_torus, ELLIPSOID, pert, tensor=tensor).breakdown(f.values)[0]
             want = per_node_limit_breakdown(small_torus, ELLIPSOID, pert, tensor, f.values)
         else:
-            got = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor).breakdown(f.values)
+            got = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor).breakdown(f.values)[0]
             want = per_node_thin_breakdown(small_torus, pert, 0.1, tensor, f.values)
         assert got.tangential == pytest.approx(want.tangential, rel=1e-12), kind
         assert got.normal_or_anisotropy == pytest.approx(want.normal_or_anisotropy, rel=1e-12), kind
@@ -530,6 +530,23 @@ def test_couplings_match_a_per_node_contraction(small_torus, layout, rng):
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want))), kind
 
 
+@pytest.mark.parametrize("layout", ["surface", "thin"])
+@given(kind=st.sampled_from(sorted(PERTURBATION_PER_KIND)), target=st.sampled_from([SPHERE, ELLIPSOID]),
+       tensor=st.sampled_from([IDENTITY_TENSOR, EllipticTensor("scalar_field", SATURATION)]),
+       seed=st.integers(0, 2**16))
+def test_gradient_from_the_forward_state_is_the_fresh_gradient(small_torus, layout, kind, target,
+                                                               tensor, seed):
+    pert = PERTURBATION_PER_KIND[kind]
+    v = random_field(small_torus, target, layout, n_s=6, seed=seed).values
+    if layout == "surface":
+        model = LimitEnergy(small_torus, target, pert, tensor=tensor)
+    else:
+        model = ThinFilmEnergy(small_torus, pert, 0.1, 6, tensor=tensor)
+    bd, g = model.breakdown_and_gradient(v, model.breakdown(v)[1])
+    want_bd, want_g = model.breakdown_and_gradient(v)
+    assert bd == want_bd and g.tobytes() == want_g.tobytes()
+
+
 @pytest.mark.parametrize("surface_kind", ["sphere", "torus"])
 def test_pullback_matches_direct_quadrature(surface_kind, rng):
     if surface_kind == "sphere":
@@ -540,7 +557,7 @@ def test_pullback_matches_direct_quadrature(surface_kind, rng):
     eps = 0.1
     for _ in range(5):
         f = smooth_thin_field(grid, SPHERE, 8, rng)
-        e_pull = ThinFilmEnergy(grid, pert, eps, f.n_s).breakdown(f.values).total
+        e_pull = ThinFilmEnergy(grid, pert, eps, f.n_s).breakdown(f.values)[0].total
         e_direct = direct_tubular_energy(grid, pert, eps, f)
         assert abs(e_pull - e_direct) / max(e_pull, 1.0) < 5e-3
 

@@ -177,10 +177,10 @@ def test_planar_interfacial_crosscheck_constant_fields():
     area = float(np.sum(grid.area_weight))
     model = LimitEnergy(grid, SPHERE, pert)
     e3 = np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.shape + (3,)).copy()
-    bd = model.breakdown(e3)
+    bd = model.breakdown(e3)[0]
     assert bd.total == pytest.approx(2.0 * kappa**2 * area, rel=1e-12)
     e1 = np.broadcast_to(np.array([1.0, 0.0, 0.0]), grid.shape + (3,)).copy()
-    bd = model.breakdown(e1)
+    bd = model.breakdown(e1)[0]
     assert bd.total == pytest.approx(kappa**2 * area, rel=1e-12)
 
 
@@ -214,8 +214,9 @@ def test_report_serializable_shape():
 
 
 def test_film_start_reuses_the_recovery_forward_pass(monkeypatch):
-    # run_sweep evaluates each recovery field; minimize starts from that flagged
-    # field as it is, so its first gradient reuses the same forward pass
+    # minimize starts from the flagged recovery field as it is, so the one
+    # forward pass of each film gives both the recovery energy and the first
+    # entry of its energy trace
     passes = []
     evaluate = ThinFilmEnergy._evaluate
 
@@ -226,9 +227,10 @@ def test_film_start_reuses_the_recovery_forward_pass(monkeypatch):
     monkeypatch.setattr(ThinFilmEnergy, "_evaluate", counting)
     config = SweepConfig(grid=small_band(12), target=SPHERE, pert=BulkDMI(1.0), eps_list=(0.2, 0.1),
                          n_s=4, options=MinimizeOptions(max_iterations=0), seed=1)
-    report, _ = run_sweep(config)
+    report, artifacts = run_sweep(config)
     assert passes == [0.2, 0.1]
-    assert all(e.recovery_energy == e.min_energy["total"] for e in report.entries)
+    for e in report.entries:
+        assert e.recovery_energy == artifacts["eps_traces"][e.eps].energy_trace[0] == e.min_energy["total"]
 
 
 def test_report_lists_every_limit_restart():

@@ -1,18 +1,22 @@
 """Checks on how the package and the benchmark scripts fit together.
 
 The benchmark scripts under `benchmarks/` reach into the package by name, so
-one test runs the parts they depend on: a change to the package that breaks
-`benchmarks/run.py --trace 1` or `benchmarks/kernels.py` fails here, and
-another runs the correctness check `benchmarks/run.py` applies to every sweep.
+one test installs the tracer's patches and runs `benchmarks/kernels.py`'s rows,
+one runs `benchmarks/run.py --trace 1` for a second and reads its per-layer
+counts, and another runs the correctness check `benchmarks/run.py` applies to
+every sweep.  A change to the package that breaks either script fails here.
 One more keeps the package free of code only the tests call, and one keeps the
 README's configuration section naming every key and kind.  All of them read
 `benchmarks/` and change nothing in it.
 """
 
 import ast
+import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +45,20 @@ def test_benchmark_tools_find_what_they_patch(monkeypatch):
     rows = kernels.rows_for(16)
     assert len(rows) == 8
     assert all(row["n"] == 16 and math.isfinite(row["best_ms"]) for row in rows)
+
+
+def test_traced_benchmark_run_counts_every_layer_it_patches(tmp_path):
+    # the traced metrics divide by these counts, so a package change that stops
+    # calling a patched method breaks the run
+    done = subprocess.run([sys.executable, str(BENCHMARKS / "run.py"), "--workload",
+                           "temperature-ellipsoid32", "--seconds", "1", "--trace", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"], done.stderr
+    metrics = result["metrics"]
+    for name in ("descent.trials", "energies.thin_eval_calls", "energies.thin_grad_calls"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_benchmark_check_passes_a_small_sweep(monkeypatch):
