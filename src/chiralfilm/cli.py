@@ -5,6 +5,11 @@ the JSON run configuration, dispatches to the library, and serializes the
 results.  Exit codes: 0 success, 1 configuration/validation or usage error,
 2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS thread count
 before any computation.
+
+`sweep` runs its thicknesses' film minimizations in up to one process per
+CPU it may run on; its output files are byte-identical for any CPU count.
+Each process holds one film's working set, so set CHIRALFILM_THREADS=1 to
+keep the processes from also multiplying BLAS threads.
 """
 
 from __future__ import annotations

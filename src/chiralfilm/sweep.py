@@ -12,6 +12,10 @@ The flag `all_converged` records whether the kept limit run and every
 successful thickness stopped at the gradient tolerance; it is reported beside
 the trends and does not enter `pass`.
 
+Once the corrector is built the film minimizations share nothing, so they run
+in up to one forked process per CPU this process may run on; every film runs
+the same code on the same arrays, so the results do not depend on the count.
+
 Also houses the pointwise identity checks: the anisotropy density vanishes
 (to roundoff) for bulk/anisotropic/temperature perturbations with a sphere
 target and for the interfacial and zero perturbations with any target.
@@ -19,6 +23,9 @@ target and for the interfacial and zero perturbations with any target.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -87,6 +94,9 @@ class EpsEntry:
     s_share: Optional[float] = None
     iterations: int = 0
     termination: str = ""
+    trials: int = 0
+    gradient_evaluations: int = 0
+    preconditioner_solves: int = 0
 
 
 @dataclass
@@ -175,7 +185,9 @@ def run_sweep(config: SweepConfig):
     entries = []
     artifacts = {"limit_field": u0, "limit_trace": limit_rep, "eps_fields": {}, "eps_traces": {}}
 
-    for eps in config.eps_list:
+    def film(eps):
+        """The minimization at one thickness: (entry, minimizer, trace), the last
+        two None when it failed."""
         entry = EpsEntry(eps=eps)
         try:
             thin_model = ThinFilmEnergy(grid, pert, eps, config.n_s, tensor=tensor)
@@ -191,12 +203,20 @@ def run_sweep(config: SweepConfig):
             entry.s_share = sder / (sder + tang) if (sder + tang) > 0 else float("nan")
             entry.iterations = rep.iterations
             entry.termination = rep.termination
-            artifacts["eps_fields"][eps] = u_eps
-            artifacts["eps_traces"][eps] = rep
+            entry.trials = rep.trials
+            entry.gradient_evaluations = rep.gradient_evaluations
+            entry.preconditioner_solves = rep.preconditioner_solves
+            return entry, u_eps, rep
         except (NumericalFailure, EnergyError, TargetError) as exc:
             entry.failed = True
             entry.failure = str(exc)
+            return entry, None, None
+
+    for entry, u_eps, rep in _map_in_processes(film, config.eps_list):
         entries.append(entry)
+        if not entry.failed:
+            artifacts["eps_fields"][entry.eps] = u_eps
+            artifacts["eps_traces"][entry.eps] = rep
 
     residual, scale = check_vanishing_identity(grid, target, pert, seed=config.seed)
     flags = _trend_flags(entries)
@@ -215,6 +235,81 @@ def run_sweep(config: SweepConfig):
         flags=flags,
     )
     return report, artifacts
+
+
+def _map_in_processes(fn, items):
+    """[fn(x) for x in items], the items dealt round-robin over one process per
+    usable CPU (at most one per item).
+
+    The parent computes its own share in place; each of the other shares runs in
+    a forked child that sends its results (or its exception) back pickled over a
+    pipe.  Without `os.fork`, or with one process, this is the plain map.
+    """
+    items = list(items)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    procs = min(len(items), cpus)
+    if procs <= 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []                     # [pid or None once reaped, read end of its pipe]
+    try:
+        for k in range(1, procs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                for _, pipe in children:
+                    pipe.close()
+                _serve_share(fn, items[k::procs], write_fd)
+            os.close(write_fd)
+            children.append([pid, os.fdopen(read_fd, "rb")])
+        results = [None] * len(items)
+        results[0::procs] = [fn(x) for x in items[0::procs]]
+        # a child blocks on a full pipe, so read each to EOF before waiting
+        for k, child in enumerate(children, 1):
+            pid, pipe = child
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if status != 0:
+                raise RuntimeError(f"film worker {pid} died without a result (exit status {status})")
+            kind, value = pickle.loads(payload)
+            if kind == "error":
+                raise value
+            results[k::procs] = value
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:  # not reaped yet, so the pid is still this child's
+                import signal  # here, not at the top: the module adds about 1 ms to every start-up
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _serve_share(fn, share, write_fd):
+    """Child side of `_map_in_processes`: send ("ok", results) or ("error", exc)
+    and leave without running the parent's exit handlers."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps(("ok", [fn(x) for x in share]))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(("error", exc))
+                pickle.loads(payload)  # an exception whose arguments do not round-trip
+            except Exception:
+                payload = pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def check_vanishing_identity(grid: SurfaceGrid, target, pert, samples: int = 1000, seed: int = 0):

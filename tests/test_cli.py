@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,43 @@ def test_sweep_command_artifacts_and_determinism(tmp_path):
     assert main(["sweep", "--config", path, "--eps-list", "0.2,0.05", "--quiet"]) == 0
     flags = json.loads((capped / "report.json").read_text())["report"]["flags"]
     assert flags["pass"] is True and flags["all_converged"] is False
+
+
+def written_files(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file()}
+
+
+def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # the same output directory for both runs, since the echoed config names it
+    out_dir = tmp_path / "sweep"
+    path = write_tiny_config(tmp_path, out_dir)
+    argv = ["sweep", "--config", path, "--eps-list", "0.2,0.1,0.05", "--quiet"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(argv) == 0
+    in_processes = written_files(out_dir)
+    assert len(in_processes) > 6
+    shutil.rmtree(out_dir)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(argv) == 0
+    assert written_files(out_dir) == in_processes
+
+
+def test_sweep_exits_1_when_a_worker_film_raises(tmp_path, monkeypatch, capsys):
+    init = ThinFilmEnergy.__init__
+
+    def failing(self, grid, pert, eps, *args, **kwargs):
+        if eps == 0.1:  # the second thickness runs in the worker
+            raise RuntimeError("film model exploded")
+        init(self, grid, pert, eps, *args, **kwargs)
+
+    monkeypatch.setattr(ThinFilmEnergy, "__init__", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = write_tiny_config(tmp_path, tmp_path / "out")
+    assert main(["sweep", "--config", path, "--quiet"]) == 1
+    assert "film model exploded" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_zero_perturbation_fixture(tmp_path):

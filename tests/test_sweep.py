@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,17 @@ ELLIPSOID = EllipsoidTarget([2.0, 1.0, 1.0])
 
 def small_band(n=24):
     return build_surface(SurfaceSpec("sphere", n, n, radius=1.0, theta_cap=0.15))
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the sweep see `count` usable CPUs, so it runs its films in that
+    many processes (one means in this process)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_zero_perturbation_sweep_all_gaps_vanish():
@@ -128,6 +142,7 @@ def test_failed_eps_entry_marked_and_sweep_continues():
         seed=2,
     )
     report, _ = run_sweep(config)
+    assert_no_child_left()
     assert report.entries[0].failed
     assert "neighborhood" in report.entries[0].failure
     assert not report.entries[1].failed
@@ -225,6 +240,8 @@ def test_film_start_reuses_the_recovery_forward_pass(monkeypatch):
         return evaluate(self, values)
 
     monkeypatch.setattr(ThinFilmEnergy, "_evaluate", counting)
+    # the count is kept in this process, so every film must run here
+    pin_cpus(monkeypatch, 1)
     config = SweepConfig(grid=small_band(12), target=SPHERE, pert=BulkDMI(1.0), eps_list=(0.2, 0.1),
                          n_s=4, options=MinimizeOptions(max_iterations=0), seed=1)
     report, artifacts = run_sweep(config)
@@ -246,3 +263,116 @@ def test_report_lists_every_limit_restart():
     assert kept["energy"] == report.limit_energy
     assert kept["iterations"] == report.limit_iterations == artifacts["limit_trace"].iterations
     assert kept["termination"] == report.limit_termination
+
+
+def effort_config():
+    return SweepConfig(grid=small_band(12), target=SPHERE, pert=BulkDMI(1.0),
+                       eps_list=(0.2, 0.1, 0.05), n_s=4,
+                       options=MinimizeOptions(max_iterations=30), seed=5)
+
+
+def test_entries_report_each_film_effort():
+    report, artifacts = run_sweep(effort_config())
+    for e, row in zip(report.entries, report.as_dict()["per_eps"]):
+        trace = artifacts["eps_traces"][e.eps]
+        assert trace.trials > 0
+        for key in ("trials", "gradient_evaluations", "preconditioner_solves"):
+            assert row[key] == getattr(e, key) == getattr(trace, key)
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 3])
+def test_film_processes_match_the_in_process_map_bit_for_bit(monkeypatch, cpus):
+    # five thicknesses are dealt unevenly over two or three processes;
+    # None keeps the host's CPU count
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    config = effort_config()
+    config.eps_list = (0.2, 0.1, 0.05, 0.04, 0.03)
+    if cpus is not None:
+        pin_cpus(monkeypatch, cpus)
+    expected_forks = min(len(config.eps_list), len(os.sched_getaffinity(0))) - 1
+    report, artifacts = run_sweep(config)
+    assert len(forks) == expected_forks
+    assert_no_child_left()
+
+    pin_cpus(monkeypatch, 1)
+    serial, serial_artifacts = run_sweep(config)
+    assert len(forks) == expected_forks
+    assert report.as_dict() == serial.as_dict()
+    assert list(artifacts["eps_fields"]) == list(serial_artifacts["eps_fields"]) == list(config.eps_list)
+    for eps, f in serial_artifacts["eps_fields"].items():
+        assert np.array_equal(artifacts["eps_fields"][eps].values, f.values)
+        ours, theirs = artifacts["eps_traces"][eps], serial_artifacts["eps_traces"][eps]
+        assert np.array_equal(ours.energy_trace, theirs.energy_trace)
+        assert np.array_equal(ours.grad_trace, theirs.grad_trace)
+        assert ours.as_dict() == theirs.as_dict()
+
+
+def fail_at(monkeypatch, **actions):
+    """Make building the film model at a thickness run its action, keyed by
+    the thickness's position in the eps list (`at0`, `at1`, ...)."""
+    eps_list = effort_config().eps_list
+    init = ThinFilmEnergy.__init__
+
+    def failing(self, grid, pert, eps, *args, **kwargs):
+        action = actions.get(f"at{eps_list.index(eps)}")
+        if action is not None:
+            action()
+        init(self, grid, pert, eps, *args, **kwargs)
+
+    monkeypatch.setattr(ThinFilmEnergy, "__init__", failing)
+
+
+def raise_runtime_error():
+    raise RuntimeError("film model exploded")
+
+
+def test_unexpected_error_in_a_worker_film_reaches_the_caller(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+    fail_at(monkeypatch, at1=raise_runtime_error)  # the second thickness goes to the child
+    with pytest.raises(RuntimeError, match="film model exploded"):
+        run_sweep(effort_config())
+    assert_no_child_left()
+
+
+class TwoPartError(Exception):
+    # pickles with its message as the only argument, so it cannot be rebuilt
+    def __init__(self, part, rest):
+        super().__init__(f"{part} {rest}")
+
+
+def test_worker_error_that_cannot_be_rebuilt_arrives_by_name(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+
+    def raise_two_part():
+        raise TwoPartError("film", "model exploded")
+
+    fail_at(monkeypatch, at1=raise_two_part)
+    with pytest.raises(RuntimeError, match="TwoPartError: film model exploded"):
+        run_sweep(effort_config())
+    assert_no_child_left()
+
+
+def test_worker_that_dies_without_a_result_is_reported(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+    fail_at(monkeypatch, at1=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        run_sweep(effort_config())
+    assert_no_child_left()
+
+
+def test_error_in_the_parent_share_kills_and_reaps_the_workers(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+    # the first thickness stays in this process and fails while the child's film hangs
+    fail_at(monkeypatch, at0=raise_runtime_error, at1=lambda: time.sleep(30))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="film model exploded"):
+        run_sweep(effort_config())
+    assert time.monotonic() - start < 15  # the hanging child was killed, not waited for
+    assert_no_child_left()
