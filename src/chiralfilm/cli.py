@@ -6,10 +6,13 @@ results.  Exit codes: 0 success, 1 configuration/validation or usage error,
 2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS thread count
 before any computation.
 
-`sweep` runs its thicknesses' film minimizations in up to one process per
-CPU it may run on; its output files are byte-identical for any CPU count.
-Each process holds one film's working set, so set CHIRALFILM_THREADS=1 to
-keep the processes from also multiplying BLAS threads.
+`sweep` runs its thicknesses' film minimizations, and then writes their
+field and trace CSVs (one share per thickness, one for the limit), in up to
+one process per CPU it may run on; its output files are byte-identical for
+any CPU count.  Each process holds one film's working set, so set
+CHIRALFILM_THREADS=1 to keep the processes from also multiplying BLAS
+threads.  Two thicknesses whose `{eps:g}` file names coincide are rejected
+before any minimization.
 """
 
 from __future__ import annotations
@@ -225,13 +228,37 @@ def _cmd_minimize(args):
     return 0
 
 
+def _eps_file_name(eps):
+    return f"eps_{eps:g}.csv"
+
+
+def _check_eps_file_names(eps_list):
+    """Two thicknesses with one `{eps:g}` name would overwrite each other's files."""
+    seen = {}
+    for eps in eps_list:
+        name = _eps_file_name(eps)
+        if name in seen:
+            raise ValueError(f"thicknesses {seen[name]!r} and {eps!r} share the file name "
+                             f"{name}; thicknesses must differ in their first 6 "
+                             "significant digits")
+        seen[name] = eps
+
+
 def _cmd_sweep(args):
     from . import __version__
     from .config import build_objects
-    from .reporting import sweep_csv, trace_csv, write_field_csv, write_json, write_text
-    from .sweep import run_sweep
+    from .reporting import (
+        ReportError,
+        sweep_csv,
+        trace_csv,
+        write_field_csv,
+        write_json,
+        write_text,
+    )
+    from .sweep import _map_in_processes, run_sweep
 
     cfg = _load(args, seed=args.seed, eps_list=args.eps_list)
+    _check_eps_file_names(cfg["sweep"]["eps_list"])
     sweep_config = build_objects(cfg)
     grid = sweep_config.grid
     report, artifacts = run_sweep(sweep_config)
@@ -244,12 +271,26 @@ def _cmd_sweep(args):
     }
     write_json(payload, os.path.join(out, "report.json"))
     write_text(sweep_csv(report), os.path.join(out, "sweep.csv"))
-    write_field_csv(grid, artifacts["limit_field"], os.path.join(out, "fields", "limit.csv"))
-    write_text(trace_csv(artifacts["limit_trace"]), os.path.join(out, "traces", "limit.csv"))
-    for eps, field in artifacts["eps_fields"].items():
-        write_field_csv(grid, field, os.path.join(out, "fields", f"eps_{eps:g}.csv"))
-    for eps, rep in artifacts["eps_traces"].items():
-        write_text(trace_csv(rep), os.path.join(out, "traces", f"eps_{eps:g}.csv"))
+
+    # a write error is returned, not raised: a share that raises has the other
+    # writers killed mid-file, and the first error in item order does not depend
+    # on how the items were dealt
+    def write_minimizer(item):
+        name, field, trace = item
+        try:
+            write_field_csv(grid, field, os.path.join(out, "fields", name))
+            write_text(trace_csv(trace), os.path.join(out, "traces", name))
+        except ReportError as exc:
+            return exc
+        return None
+
+    minimizers = [("limit.csv", artifacts["limit_field"], artifacts["limit_trace"])]
+    minimizers += [(_eps_file_name(eps), field, artifacts["eps_traces"][eps])
+                   for eps, field in artifacts["eps_fields"].items()]
+    # forked writers read the artifacts copy-on-write: nothing is pickled on the way in
+    errors = [exc for exc in _map_in_processes(write_minimizer, minimizers) if exc is not None]
+    if errors:
+        raise errors[0]
     _echo_config(cfg, out)
 
     flags = report.flags

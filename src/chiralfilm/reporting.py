@@ -72,9 +72,13 @@ def _fmt(x: float) -> str:
 def write_field_csv(grid, field: DirectorField, path: str):
     """Field as CSV rows keyed by chart coordinates (u-major ordering).
 
-    Rows are written one u-row at a time, with each chart coordinate
-    formatted once; "%.17g" gives the same text as format(x, ".17g").
+    Each chart coordinate is formatted once, into a template of one u-row
+    whose only `%` directives are the values' "%.17g" (the same text as
+    format(x, ".17g")); each u-row is then one `%` on that row's values.
     """
+    if field.values.shape[:2] != grid.shape:
+        raise EnergyError(f"field of shape {field.values.shape} does not fit "
+                          f"the grid of shape {grid.shape}")
     if field.layout == "surface":
         header = "u,v,ux,uy,uz\n"
         tails = [_fmt(v) + "," for v in grid.v]
@@ -82,16 +86,14 @@ def write_field_csv(grid, field: DirectorField, path: str):
         header = "u,v,s,ux,uy,uz\n"
         s = [_fmt(sk) + "," for sk in s_quadrature(field.n_s)[0]]
         tails = [_fmt(v) + "," + sk for v in grid.v for sk in s]
+    rows = [tail + "%.17g,%.17g,%.17g\n" for tail in tails]
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as handle:
             handle.write(header)
             for u, block in zip(grid.u, field.values):
                 head = _fmt(u) + ","
-                handle.writelines([
-                    "%s%s%.17g,%.17g,%.17g\n" % (head, tail, x, y, z)
-                    for tail, (x, y, z) in zip(tails, block.reshape(-1, 3).tolist())
-                ])
+                handle.write((head + head.join(rows)) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise ReportError(f"cannot write {path}: {exc}") from exc
 

@@ -276,7 +276,7 @@ def _map_in_processes(fn, items):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             child[0] = None
             if status != 0:
-                raise RuntimeError(f"film worker {pid} died without a result (exit status {status})")
+                raise RuntimeError(f"worker {pid} died without a result (exit status {status})")
             kind, value = pickle.loads(payload)
             if kind == "error":
                 raise value

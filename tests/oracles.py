@@ -4,7 +4,8 @@ Each oracle reaches its number by a route the library does not take: the
 analytic chart map instead of the node arrays, a finite-difference Jacobian
 of the offset map instead of the closed-form metric factors, K evaluated at
 every node's value instead of through the precomputed frame basis, and the
-L-BFGS two-loop recursion pair by pair instead of over the stacked pairs.
+L-BFGS two-loop recursion pair by pair instead of over the stacked pairs,
+and a field CSV formatted row by row instead of one u-row per `%`.
 """
 
 import numpy as np
@@ -158,3 +159,23 @@ def two_loop(g, pairs, gamma, solve):
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * np.vdot(y, r)) * s
     return r
+
+
+def field_csv_by_rows(grid, field) -> str:
+    """Field CSV text with each row formatted by its own `%`, each chart
+    coordinate formatted once."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    if field.layout == "surface":
+        lines = ["u,v,ux,uy,uz\n"]
+        tails = [fmt(v) + "," for v in grid.v]
+    else:
+        lines = ["u,v,s,ux,uy,uz\n"]
+        s = [fmt(sk) + "," for sk in s_quadrature(field.n_s)[0]]
+        tails = [fmt(v) + "," + sk for v in grid.v for sk in s]
+    for u, block in zip(grid.u, field.values):
+        head = fmt(u) + ","
+        lines += ["%s%s%.17g,%.17g,%.17g\n" % (head, tail, x, y, z)
+                  for tail, (x, y, z) in zip(tails, block.reshape(-1, 3).tolist())]
+    return "".join(lines)

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chiralfilm import __version__
+from chiralfilm import sweep as sweep_module
 from chiralfilm.cli import _build_parser, main
 from chiralfilm.config import (
     ConfigError,
@@ -24,6 +28,9 @@ from chiralfilm.reporting import (
     write_field_csv,
     write_json,
 )
+from chiralfilm.surfaces import SurfaceSpec, build_surface
+from oracles import field_csv_by_rows
+
 TINY = {
     "surface": {"kind": "sphere", "n_u": 12, "n_v": 12, "radius": 1.0, "theta_cap": 0.15},
     "target": {"kind": "sphere", "radius": 1.0},
@@ -174,12 +181,14 @@ def _per_cell_field_csv(grid, field):
 
 
 def test_field_csv_roundtrip(tmp_path):
-    # the streamed writer matches per-cell formatting byte for byte, and reading
-    # back returns every double bit for bit, signed zero and subnormals included
+    # the u-row writer matches the row-by-row and per-cell references byte for
+    # byte, and reading back returns every double bit for bit, signed zero and
+    # subnormals included
     cfg = resolve_config(json.loads(json.dumps(TINY)))
     grid = build_objects(cfg).grid
     rng = np.random.default_rng(7)
-    special = np.array([-0.0, 5e-324, 1e-300, 1e308, -5e-324, -1e308])
+    special = np.array([-0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                        1e308, -1e308, 1.0, -1.0])
     for layout, shape in (("surface", grid.shape + (3,)), ("thin", grid.shape + (5, 3))):
         values = rng.standard_normal(shape)
         flat = values.reshape(-1)
@@ -187,10 +196,36 @@ def test_field_csv_roundtrip(tmp_path):
         field = DirectorField(values)
         path = tmp_path / f"{layout}.csv"
         write_field_csv(grid, field, str(path))
-        assert path.read_bytes() == _per_cell_field_csv(grid, field).encode()
+        reference = field_csv_by_rows(grid, field)
+        assert reference == _per_cell_field_csv(grid, field)
+        assert path.read_bytes() == reference.encode()
         back = read_field_csv(grid, str(path))
         assert back.layout == layout
         assert back.values.tobytes() == values.tobytes()
+
+
+FLAT_4X5 = build_surface(SurfaceSpec("flat_patch", 4, 5))
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(hnp.arrays(np.float64, FLAT_4X5.shape + (3,), elements=FINITE),
+                 hnp.arrays(np.float64, FLAT_4X5.shape + (4, 3), elements=FINITE)))
+def test_field_csv_matches_the_row_by_row_reference(tmp_path, values):
+    field = DirectorField(values)
+    path = tmp_path / "field.csv"
+    write_field_csv(FLAT_4X5, field, str(path))
+    assert path.read_bytes() == field_csv_by_rows(FLAT_4X5, field).encode()
+    assert read_field_csv(FLAT_4X5, str(path)).values.tobytes() == values.tobytes()
+
+
+def test_field_csv_rejects_a_field_of_another_grid(tmp_path):
+    # zipping the grid's coordinates with the field's rows used to write a short file
+    path = tmp_path / "field.csv"
+    for shape in ((4, 4, 3), (5, 4, 4, 3), (5, 5, 3)):
+        with pytest.raises(EnergyError, match=re.escape(f"{shape}") + ".*" + re.escape("(4, 5)")):
+            write_field_csv(FLAT_4X5, DirectorField(np.zeros(shape)), str(path))
+        assert not path.exists()
 
 
 def test_eval_energy_matches_library(tmp_path, capsys):
@@ -328,19 +363,60 @@ def written_files(root):
             if path.is_file()}
 
 
+def pin_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
-    # the same output directory for both runs, since the echoed config names it
+    # the same output directory for every run, since the echoed config names it;
+    # three thicknesses and the limit make 4 write items, dealt unevenly over 3 CPUs
     out_dir = tmp_path / "sweep"
     path = write_tiny_config(tmp_path, out_dir)
     argv = ["sweep", "--config", path, "--eps-list", "0.2,0.1,0.05", "--quiet"]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pin_cpus(monkeypatch, 1)
     assert main(argv) == 0
-    in_processes = written_files(out_dir)
-    assert len(in_processes) > 6
-    shutil.rmtree(out_dir)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert main(argv) == 0
-    assert written_files(out_dir) == in_processes
+    serial = written_files(out_dir)
+    assert len(serial) == 4 + 2 * 4
+    for cpus in (2, 3):
+        shutil.rmtree(out_dir)
+        pin_cpus(monkeypatch, cpus)
+        assert main(argv) == 0
+        assert written_files(out_dir) == serial, cpus
+
+
+@pytest.mark.parametrize("eps", ["0.2", "0.1"], ids=["child-share", "parent-share"])
+def test_sweep_exits_1_when_a_field_cannot_be_written(tmp_path, monkeypatch, capsys, eps):
+    # over 2 CPUs the writes [limit, eps 0.2, eps 0.1] put eps 0.2 in the child's share
+    pin_cpus(monkeypatch, 2)
+    assert main(["sweep", "--config", write_tiny_config(tmp_path, tmp_path / "clean"),
+                 "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    blocked = out_dir / "fields" / f"eps_{eps}.csv"
+    blocked.mkdir(parents=True)
+    path = write_tiny_config(tmp_path, out_dir)
+    assert main(["sweep", "--config", path, "--quiet"]) == 1
+    assert f"cannot write {blocked}" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # every other minimizer is written whole: no writer was killed mid-file
+    clean = written_files(tmp_path / "clean")
+    written = written_files(out_dir)
+    for name in {"limit.csv", "eps_0.2.csv", "eps_0.1.csv"} - {blocked.name}:
+        for kind in ("fields", "traces"):
+            assert written[Path(kind) / name] == clean[Path(kind) / name], (kind, name)
+
+
+def test_sweep_rejects_thicknesses_sharing_a_file_name(tmp_path, monkeypatch, capsys):
+    def no_sweep(config):
+        raise AssertionError("minimized despite a file-name collision")
+
+    monkeypatch.setattr(sweep_module, "run_sweep", no_sweep)
+    out_dir = tmp_path / "out"
+    path = write_tiny_config(tmp_path, out_dir)
+    assert main(["sweep", "--config", path, "--eps-list", "0.2,0.1000001,0.1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "thicknesses 0.1000001 and 0.1 share the file name eps_0.1.csv" in err
+    assert not out_dir.exists()
 
 
 def test_sweep_exits_1_when_a_worker_film_raises(tmp_path, monkeypatch, capsys):
@@ -352,7 +428,7 @@ def test_sweep_exits_1_when_a_worker_film_raises(tmp_path, monkeypatch, capsys):
         init(self, grid, pert, eps, *args, **kwargs)
 
     monkeypatch.setattr(ThinFilmEnergy, "__init__", failing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pin_cpus(monkeypatch, 2)
     path = write_tiny_config(tmp_path, tmp_path / "out")
     assert main(["sweep", "--config", path, "--quiet"]) == 1
     assert "film model exploded" in capsys.readouterr().err
