@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over library calls: it loads and resolves
-the JSON run configuration, dispatches to the library, and serializes the
-results.  Exit codes: 0 success, 1 configuration/validation or usage error,
-2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS thread count
-before any computation.
+Every subcommand is a thin shell over library calls.  The five config-driven
+ones share `--config` and `--output-dir`; `_load` resolves the JSON run
+configuration and builds the sweep it describes.  `preset` offers the entries
+of `config.PRESETS`.  Exit codes: 0 success, 1 configuration/validation or
+usage error, 2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS
+thread count before any computation.  The package is imported inside each
+function, so a module attribute replaced after this module is imported (such
+as `sweep.run_sweep`) is the one that runs.
 
 `sweep` runs its thicknesses' film minimizations, and then writes their
 field and trace CSVs (one share per thickness, one for the limit), in up to
@@ -32,51 +35,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    from .config import PRESETS
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     common.add_argument("--json", action="store_true", dest="json_out",
                         help="machine-readable stdout only")
+    configured = argparse.ArgumentParser(add_help=False)  # the config-driven subcommands
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--output-dir", default=None)
     parser = _Parser(prog="chiralfilm", description="Chiral Dirichlet energies on curved thin films")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("preset", help="write a ready-to-run configuration")
-    p.add_argument("name", choices=["bulk", "interfacial", "anisotropic", "temperature"])
+    p.add_argument("name", choices=list(PRESETS))
     p.add_argument("--out", default=None, help="output path (default <name>.config.json)")
 
-    p = add_parser("describe-surface", help="dump the frame grid and thickness budget")
-    p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", default=None)
+    add_parser("describe-surface", configured, help="dump the frame grid and thickness budget")
 
-    p = add_parser("eval-energy", help="evaluate one energy form on a stored field")
-    p.add_argument("--config", required=True)
+    p = add_parser("eval-energy", configured, help="evaluate one energy form on a stored field")
     p.add_argument("--form", required=True, choices=["thin", "limit"])
     p.add_argument("--field", required=True, help="field CSV path")
     p.add_argument("--eps", type=float, default=None, help="film half-thickness (thin form)")
-    p.add_argument("--output-dir", default=None)
 
-    p = add_parser("minimize", help="run a single constrained minimization")
-    p.add_argument("--config", required=True)
+    p = add_parser("minimize", configured, help="run a single constrained minimization")
     p.add_argument("--form", default="limit", choices=["limit", "thin"])
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
 
-    p = add_parser("sweep", help="full film-thickness convergence experiment")
-    p.add_argument("--config", required=True)
+    p = add_parser("sweep", configured, help="full film-thickness convergence experiment")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eps-list", default=None, help="comma-separated override, e.g. 0.2,0.1")
-    p.add_argument("--output-dir", default=None)
 
-    p = add_parser("check-identities", help="shape-anisotropy vanishing residuals")
-    p.add_argument("--config", required=True)
+    p = add_parser("check-identities", configured, help="shape-anisotropy vanishing residuals")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--output-dir", default=None)
 
-    p = add_parser("crosscheck-planar",
-                       help="interfacial limit energy vs its expanded planar form")
+    p = add_parser("crosscheck-planar", help="interfacial limit energy vs its expanded planar form")
     p.add_argument("--resolution", type=int, default=48)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--fields", type=int, default=20)
@@ -104,9 +101,10 @@ def _number_or_text(token):
 
 
 def _load(args, seed=None, eps_list=None):
-    """The resolved config, with the command-line overrides applied to the raw
-    document first so that they pass the same checks as the file."""
-    from .config import read_config, resolve_config
+    """The resolved config and the sweep it describes, with the command-line
+    overrides applied to the raw document first so that they pass the same
+    checks as the file."""
+    from .config import build_objects, read_config, resolve_config
 
     raw = read_config(args.config)
     if args.output_dir is not None:
@@ -117,7 +115,8 @@ def _load(args, seed=None, eps_list=None):
         sweep = raw.setdefault("sweep", {})
         if isinstance(sweep, dict):  # anything else fails resolve_config below
             sweep["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",") if tok]
-    return resolve_config(raw)
+    cfg = resolve_config(raw)
+    return cfg, build_objects(cfg)
 
 
 def _check_eps(args):
@@ -126,6 +125,16 @@ def _check_eps(args):
         raise ValueError("--eps is required for the thin form")
     if args.form != "thin" and args.eps is not None:
         raise ValueError(f"--eps applies only to the thin form, not --form {args.form}")
+
+
+def _energy_model(args, run, n_s):
+    """The energy form `--form` names, on the sweep's grid, perturbation and tensor;
+    the thin form has `n_s` layers."""
+    from .energies import LimitEnergy, ThinFilmEnergy
+
+    if args.form == "thin":
+        return ThinFilmEnergy(run.grid, run.pert, args.eps, n_s, tensor=run.tensor)
+    return LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
 
 
 def _echo_config(cfg, out_dir):
@@ -150,11 +159,10 @@ def _cmd_preset(args):
 
 
 def _cmd_describe_surface(args):
-    from .config import build_objects
     from .reporting import frame_table_csv, write_json, write_text
 
-    cfg = _load(args)
-    grid = build_objects(cfg).grid
+    cfg, run = _load(args)
+    grid = run.grid
     out = cfg["output_dir"]
     write_text(frame_table_csv(grid), os.path.join(out, "frames.csv"))
     budget = {
@@ -173,22 +181,16 @@ def _cmd_describe_surface(args):
 
 
 def _cmd_eval_energy(args):
-    from .config import build_objects
-    from .energies import LimitEnergy, ThinFilmEnergy
     from .reporting import read_field_csv
 
     _check_eps(args)
-    cfg = _load(args)
-    run = build_objects(cfg)
+    cfg, run = _load(args)
     field = read_field_csv(run.grid, args.field)
     want = "thin" if args.form == "thin" else "surface"
     if field.layout != want:
         raise ValueError(f"field file {args.field} holds a {field.layout} field; "
                          f"--form {args.form} expects a {want} field")
-    if args.form == "thin":
-        model = ThinFilmEnergy(run.grid, run.pert, args.eps, field.n_s, tensor=run.tensor)
-    else:
-        model = LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
+    model = _energy_model(args, run, field.n_s if want == "thin" else None)
     bd = model.breakdown(field.values)[0]
     _echo_config(cfg, cfg["output_dir"])
     _emit(args, bd.as_dict())
@@ -197,20 +199,13 @@ def _cmd_eval_energy(args):
 
 def _cmd_minimize(args):
     from . import __version__
-    from .config import build_objects
     from .descent import minimize, random_field
-    from .energies import LimitEnergy, ThinFilmEnergy
     from .reporting import trace_csv, write_field_csv, write_json, write_text
 
     _check_eps(args)
-    cfg = _load(args, seed=args.seed)
-    run = build_objects(cfg)
-    if args.form == "thin":
-        model = ThinFilmEnergy(run.grid, run.pert, args.eps, run.n_s, tensor=run.tensor)
-        init = random_field(run.grid, run.target, "thin", n_s=run.n_s, seed=run.seed)
-    else:
-        model = LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
-        init = random_field(run.grid, run.target, "surface", seed=run.seed)
+    cfg, run = _load(args, seed=args.seed)
+    model = _energy_model(args, run, run.n_s)
+    init = random_field(run.grid, run.target, model.layout, n_s=run.n_s, seed=run.seed)
     field, report = minimize(model, run.target, init, run.options)
 
     out = cfg["output_dir"]
@@ -246,7 +241,6 @@ def _check_eps_file_names(eps_list):
 
 def _cmd_sweep(args):
     from . import __version__
-    from .config import build_objects
     from .reporting import (
         ReportError,
         sweep_csv,
@@ -257,11 +251,9 @@ def _cmd_sweep(args):
     )
     from .sweep import _map_in_processes, run_sweep
 
-    cfg = _load(args, seed=args.seed, eps_list=args.eps_list)
-    _check_eps_file_names(cfg["sweep"]["eps_list"])
-    sweep_config = build_objects(cfg)
-    grid = sweep_config.grid
-    report, artifacts = run_sweep(sweep_config)
+    cfg, run = _load(args, seed=args.seed, eps_list=args.eps_list)
+    _check_eps_file_names(run.eps_list)
+    report, artifacts = run_sweep(run)
 
     out = cfg["output_dir"]
     payload = {
@@ -278,7 +270,7 @@ def _cmd_sweep(args):
     def write_minimizer(item):
         name, field, trace = item
         try:
-            write_field_csv(grid, field, os.path.join(out, "fields", name))
+            write_field_csv(run.grid, field, os.path.join(out, "fields", name))
             write_text(trace_csv(trace), os.path.join(out, "traces", name))
         except ReportError as exc:
             return exc
@@ -307,12 +299,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_check_identities(args):
-    from .config import build_objects
     from .reporting import write_json
     from .sweep import check_vanishing_identity, identity_is_predicted_vanishing
 
-    cfg = _load(args)
-    run = build_objects(cfg)
+    cfg, run = _load(args)
     residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
                                                samples=args.samples, seed=run.seed)
     predicted = identity_is_predicted_vanishing(run.pert, run.target)
@@ -336,9 +326,9 @@ def _cmd_crosscheck_planar(args):
     grid = build_surface(SurfaceSpec("flat_patch", args.resolution, args.resolution))
     worst = planar_interfacial_crosscheck(grid, kappa=args.kappa, fields=args.fields,
                                           seed=args.seed)
-    payload = {"max_relative_discrepancy": worst, "ok": bool(worst <= 1e-10)}
-    _emit(args, payload)
-    return 0 if worst <= 1e-10 else 2
+    ok = worst <= 1e-10  # a NaN discrepancy fails
+    _emit(args, {"max_relative_discrepancy": worst, "ok": ok})
+    return 0 if ok else 2
 
 
 _COMMANDS = {

@@ -26,7 +26,7 @@ from .perturbations import (
     TemperatureDMI,
     ZeroPerturbation,
 )
-from .surfaces import SurfaceSpec, build_surface
+from .surfaces import SurfaceError, SurfaceSpec, build_surface
 from .sweep import DEFAULT_EPS_LIST, SweepConfig
 from .targets import EllipsoidTarget, SphereTarget
 
@@ -141,13 +141,11 @@ def _check(path: str, key: str, value):
 
 def _surface_kappa_max(surface: dict) -> float:
     kind = surface["kind"]
-    if kind == "sphere":
+    if kind in ("sphere", "cylinder"):
         return 1.0 / surface["radius"]
     if kind == "torus":
         a, b = surface["major_radius"], surface["minor_radius"]
         return max(1.0 / b, 1.0 / (a - b)) if a > b else float("inf")
-    if kind == "cylinder":
-        return 1.0 / surface["radius"]
     return 0.0
 
 
@@ -252,8 +250,12 @@ def build_objects(cfg: dict) -> SweepConfig:
     """The sweep a resolved config describes: its grid, target, perturbation,
     tensor, minimizer options and sweep settings."""
     sweep = cfg["sweep"]
+    try:
+        grid = build_surface(SurfaceSpec(**cfg["surface"]))
+    except SurfaceError as exc:
+        raise ConfigError(f"config invalid at surface: {exc}") from exc
     return SweepConfig(
-        grid=build_surface(SurfaceSpec(**cfg["surface"])),
+        grid=grid,
         target=_construct("target", cfg["target"]),
         pert=_construct("perturbation", cfg["perturbation"]),
         tensor=EllipticTensor(**_arguments(cfg["tensor"])),
@@ -265,58 +267,36 @@ def build_objects(cfg: dict) -> SweepConfig:
     )
 
 
-_PRESET_MINIMIZER = {"max_iterations": 6000, "grad_tol": 1e-7}
-_PRESET_SWEEP = {"restarts": 3}
+def _preset(perturbation, **sections):
+    """A preset's raw config: the 64x64 sphere band, the unit-sphere target, the
+    minimizer, restarts and seed every preset shares, around `perturbation`."""
+    return {
+        "surface": {"kind": "sphere", "n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
+        "target": {"kind": "sphere", "radius": 1.0},
+        "perturbation": perturbation,
+        **sections,
+        "minimizer": {"max_iterations": 6000, "grad_tol": 1e-7},
+        "sweep": {"restarts": 3},
+        "seed": 1234,
+    }
 
-PRESETS = {
-    "bulk": {
-        "surface": {"kind": "sphere", "n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
-        "target": {"kind": "sphere", "radius": 1.0},
-        "perturbation": {"kind": "bulk_dmi", "kappa": 1.0},
-        "minimizer": _PRESET_MINIMIZER,
-        "sweep": _PRESET_SWEEP,
-        "seed": 1234,
-        "output_dir": "runs/bulk",
-    },
-    "interfacial": {
-        "surface": {"kind": "sphere", "n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
-        "target": {"kind": "sphere", "radius": 1.0},
-        "perturbation": {"kind": "interfacial_dmi", "kappa": 1.0},
-        "minimizer": _PRESET_MINIMIZER,
-        "sweep": _PRESET_SWEEP,
-        "seed": 1234,
-        "output_dir": "runs/interfacial",
-    },
-    "anisotropic": {
-        "surface": {"kind": "sphere", "n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
-        "target": {"kind": "sphere", "radius": 1.0},
-        "perturbation": {
-            "kind": "anisotropic_dmi",
-            "coupling": [[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]],
-        },
-        "minimizer": _PRESET_MINIMIZER,
-        "sweep": _PRESET_SWEEP,
-        "seed": 1234,
-        "output_dir": "runs/anisotropic",
-    },
-    "temperature": {
-        "surface": {"kind": "sphere", "n_u": 64, "n_v": 64, "radius": 1.0, "theta_cap": 0.15},
-        "target": {"kind": "sphere", "radius": 1.0},
-        "perturbation": {
-            "kind": "temperature",
-            "saturation": {"kind": "affine", "c0": 1.5, "c": [0.0, 0.0, 0.3]},
-            "coupling": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        },
-        "tensor": {
-            "kind": "scalar_field",
-            "field": {"kind": "affine", "c0": 1.5, "c": [0.0, 0.0, 0.3]},
-        },
-        "minimizer": _PRESET_MINIMIZER,
-        "sweep": _PRESET_SWEEP,
-        "seed": 1234,
-        "output_dir": "runs/temperature",
-    },
-}
+
+_SATURATION = {"kind": "affine", "c0": 1.5, "c": [0.0, 0.0, 0.3]}
+
+# The paper's four antisymmetric-exchange variants, each writing into runs/<name>.
+PRESETS = {name: {**raw, "output_dir": f"runs/{name}"} for name, raw in {
+    "bulk": _preset({"kind": "bulk_dmi", "kappa": 1.0}),
+    "interfacial": _preset({"kind": "interfacial_dmi", "kappa": 1.0}),
+    "anisotropic": _preset({
+        "kind": "anisotropic_dmi",
+        "coupling": [[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]],
+    }),
+    "temperature": _preset(
+        {"kind": "temperature", "saturation": _SATURATION,
+         "coupling": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        tensor={"kind": "scalar_field", "field": _SATURATION},
+    ),
+}.items()}
 
 
 def preset_config(name: str) -> dict:

@@ -24,7 +24,7 @@ constants below; only the iteration cap and the gradient tolerance are options.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,15 +69,9 @@ class MinimizeReport:
     preconditioner_solves: int = 0
 
     def as_dict(self):
-        return {
-            "iterations": self.iterations,
-            "energy": self.energy.as_dict(),
-            "grad_norm": self.grad_norm,
-            "termination": self.termination,
-            "trials": self.trials,
-            "gradient_evaluations": self.gradient_evaluations,
-            "preconditioner_solves": self.preconditioner_solves,
-        }
+        """Every field but the two traces, with the energy as its own dict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.endswith("_trace")}
+        return dict(out, energy=self.energy.as_dict())
 
 
 def _varying_axis(grid):

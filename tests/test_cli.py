@@ -514,6 +514,12 @@ def test_crosscheck_planar_command(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least 1 field" in captured.err
+    # a non-finite kappa is rejected before any evaluation, not passed with discrepancy 0
+    for kappa in ("nan", "inf", "-inf"):
+        assert main(["crosscheck-planar", "--resolution", "16", f"--kappa={kappa}", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite kappa" in captured.err
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -525,6 +531,19 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     path.write_text("[]")  # not an object, so an override has nowhere to go
     assert main(["sweep", "--config", str(path), "--seed", "1", "--quiet"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.json"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("surface, sweep", [
+    ({"kind": "sphere", "theta_cap": 2.0}, {}),
+    ({"kind": "torus", "major_radius": 1.0, "minor_radius": 1.0}, {}),
+    ({"kind": "torus", "major_radius": 1.0, "minor_radius": 1.0}, {"eps_list": [0.1]}),
+])
+def test_a_rejected_surface_names_its_section(tmp_path, capsys, surface, sweep):
+    path = write_tiny_config(tmp_path, tmp_path / "out",
+                             {"surface": dict(surface, n_u=8, n_v=8), "sweep": sweep})
+    assert main(["describe-surface", "--config", path, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: config invalid at surface: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_1(capsys):

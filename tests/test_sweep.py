@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chiralfilm.descent import MinimizeOptions
-from chiralfilm.energies import ThinFilmEnergy
+from chiralfilm.energies import EnergyBreakdown, LimitEnergy, ThinFilmEnergy
 from chiralfilm.perturbations import (
     AnisotropicDMI,
     BulkDMI,
@@ -208,6 +208,28 @@ def test_planar_interfacial_crosscheck_random_fields():
 def test_planar_crosscheck_requires_flat_patch():
     with pytest.raises(SweepError):
         planar_interfacial_crosscheck(small_band(16))
+
+
+def test_planar_crosscheck_keeps_a_nan_discrepancy(monkeypatch):
+    # the fold must not drop a NaN, as the builtin max(worst, nan) does
+    grid = build_surface(SurfaceSpec("flat_patch", 16, 16))
+    original = LimitEnergy.breakdown
+    calls = []
+
+    def breakdown(self, values):
+        bd, state = original(self, values)
+        calls.append(bd)
+        return (EnergyBreakdown.of(np.nan, 0.0) if len(calls) == 2 else bd), state
+
+    monkeypatch.setattr(LimitEnergy, "breakdown", breakdown)
+    assert np.isnan(planar_interfacial_crosscheck(grid, fields=3))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_planar_crosscheck_rejects_a_non_finite_kappa(kappa):
+    with pytest.raises(SweepError, match="finite kappa"):
+        planar_interfacial_crosscheck(build_surface(SurfaceSpec("flat_patch", 8, 8)), kappa=kappa)
 
 
 def test_report_serializable_shape():

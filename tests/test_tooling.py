@@ -5,8 +5,9 @@ one test installs the tracer's patches and runs `benchmarks/kernels.py`'s rows,
 one runs `benchmarks/run.py --trace 1` for a second and reads its per-layer
 counts, and another runs the correctness check `benchmarks/run.py` applies to
 every sweep.  A change to the package that breaks either script fails here.
-One more keeps the package free of code only the tests call, and one keeps the
-README's configuration section naming every key and kind.  All of them read
+One more keeps the package free of code only the tests call, one keeps the
+README's configuration section naming every key and kind, and one keeps its
+command-line section naming every subcommand and preset.  All of them read
 `benchmarks/` and change nothing in it.
 """
 
@@ -113,16 +114,31 @@ def test_package_defines_only_what_src_or_benchmarks_use():
     assert not unused, f"defined under src/chiralfilm but used only by tests, if at all: {unused}"
 
 
+def _readme_section(title):
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index(f"## {title}")
+    return readme[start:readme.index("\n## ", start)]
+
+
 def test_readme_configuration_names_every_key_and_kind():
     from chiralfilm import config
 
-    readme = (ROOT / "README.md").read_text()
-    start = readme.index("## Configuration")
-    section = readme[start:readme.index("\n## ", start)]
-    named = set(re.findall(r"`([^`]+)`", section))
+    named = set(re.findall(r"`([^`]+)`", _readme_section("Configuration")))
     kinds = {**config._KINDS, "scalar field": config._SCALAR_FIELD_KINDS}
     wanted = {*config._VALUES, *config._ROOT}
     wanted.update(name for table in kinds.values() for name in table)
     wanted.update(p for table in kinds.values() for kind in table.values() for p in kind.params)
     wanted.update(p for params in config._SETTINGS.values() for p in params)
     assert not wanted - named, f"README's Configuration section does not name {sorted(wanted - named)}"
+
+
+def test_readme_command_line_names_every_subcommand_and_preset():
+    from chiralfilm import cli, config
+
+    section = _readme_section("Command line")
+    missing = [f"chiralfilm {name}" for name in cli._COMMANDS
+               if f"chiralfilm {name}" not in section]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)  # a ``` fence would shift the pairing
+    named = set(re.findall(r"`([^`]+)`", prose))
+    missing += [f"preset {name}" for name in config.PRESETS if name not in named]
+    assert missing == [], f"README's Command line section does not name {missing}"
