@@ -114,7 +114,7 @@ def _load(args, seed=None, eps_list=None):
     if eps_list is not None:
         sweep = raw.setdefault("sweep", {})
         if isinstance(sweep, dict):  # anything else fails resolve_config below
-            sweep["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",") if tok]
+            sweep["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",")]
     cfg = resolve_config(raw)
     return cfg, build_objects(cfg)
 
@@ -149,6 +149,8 @@ def _cmd_preset(args):
     from .config import preset_config
     from .reporting import write_json
 
+    if args.out == "":
+        raise ValueError("--out must be a non-empty path")
     cfg = preset_config(args.name)
     path = args.out or f"{args.name}.config.json"
     write_json(cfg, path)
@@ -306,7 +308,8 @@ def _cmd_check_identities(args):
     residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
                                                samples=args.samples, seed=run.seed)
     predicted = identity_is_predicted_vanishing(run.pert, run.target)
-    ok = residual <= 1e-14 * max(scale, 1e-300) if predicted else residual > 0
+    roundoff = 1e-14 * max(scale, 1e-300)  # either way, a residual at roundoff level vanishes
+    ok = residual <= roundoff if predicted else residual > roundoff
     payload = {
         "max_residual": residual,
         "scale": scale,

@@ -26,7 +26,7 @@ from .perturbations import (
     TemperatureDMI,
     ZeroPerturbation,
 )
-from .surfaces import SurfaceError, SurfaceSpec, build_surface
+from .surfaces import SurfaceError, SurfaceSpec, build_surface, thickness_budget
 from .sweep import DEFAULT_EPS_LIST, SweepConfig
 from .targets import EllipsoidTarget, SphereTarget
 
@@ -139,22 +139,9 @@ def _check(path: str, key: str, value):
         raise ConfigError(f"config invalid at {path}: must be {text}")
 
 
-def _surface_kappa_max(surface: dict) -> float:
-    kind = surface["kind"]
-    if kind in ("sphere", "cylinder"):
-        return 1.0 / surface["radius"]
-    if kind == "torus":
-        a, b = surface["major_radius"], surface["minor_radius"]
-        return max(1.0 / b, 1.0 / (a - b)) if a > b else float("inf")
-    return 0.0
-
-
 def _default_eps_list(surface: dict) -> list:
-    kappa = _surface_kappa_max(surface)
-    if kappa > 0.0:
-        eps_max = 1.0 / (2.0 * kappa)
-    else:
-        eps_max = surface["flat_eps_max"]
+    """DEFAULT_EPS_LIST clipped to the surface's thickness budget."""
+    eps_max = thickness_budget(SurfaceSpec(**surface)).eps_max
     clipped = [e for e in DEFAULT_EPS_LIST if e <= eps_max] or [0.5 * eps_max]
     if clipped[0] <= 0.0:
         raise ConfigError("config invalid at surface: its curvature admits no film thickness")

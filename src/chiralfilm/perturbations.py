@@ -1,11 +1,11 @@
 """Perturbation matrix fields K(xi, sigma) and the elliptic tensor A(xi).
 
-Presets cover the standard antisymmetric-exchange variants: isotropic bulk
-(K(sigma) w = kappa * w x sigma), interfacial in the direction of the surface
-normal (K(xi, sigma) w = kappa * [(n.sigma) w - (w.sigma) n]), anisotropic
-with a coupling matrix J (K(sigma) w = (J w) x sigma), and the nonuniform
-saturation-magnetization variant (K(xi, sigma) w = (grad_Ms . w) sigma +
-(J w) x sigma, paired with the scalar tensor A = Ms * I).
+Presets cover the standard antisymmetric-exchange variants.  `AnisotropicDMI`
+holds the one (J w) x sigma term, K(sigma) w = (J w) x sigma, and its coupling
+check; isotropic bulk exchange (K(sigma) w = kappa * w x sigma) is its coupling
+kappa * I, and nonuniform saturation magnetization adds (grad_Ms . w) sigma to
+it, paired with the scalar tensor A = Ms * I.  Interfacial exchange in the
+direction of the surface normal is K(xi, sigma) w = kappa * [(n.sigma) w - (w.sigma) n].
 
 Every preset is linear in sigma, so K(xi, sigma) = sum_j sigma_j K(xi, e_j),
 which the energies build once per grid.  Evaluators are stateless and
@@ -53,7 +53,6 @@ class ScalarSurfaceField:
 class FrameSample:
     """Node-aligned surface data fed to perturbation evaluators."""
 
-    points: np.ndarray
     tau1: np.ndarray
     tau2: np.ndarray
     normal: np.ndarray
@@ -78,7 +77,6 @@ def frame_sample(grid: SurfaceGrid, pert, index=None) -> FrameSample:
         return arr[index] if index is not None else arr
 
     return FrameSample(
-        points=pick(grid.points),
         tau1=pick(grid.tau1),
         tau2=pick(grid.tau2),
         normal=pick(grid.normal),
@@ -114,12 +112,21 @@ class ZeroPerturbation(Perturbation):
         return np.zeros(sigma.shape + (3,))
 
 
-class BulkDMI(Perturbation):
-    def __init__(self, kappa: float = 1.0):
-        self.kappa = float(kappa)
+class AnisotropicDMI(Perturbation):
+    def __init__(self, coupling):
+        mat = np.asarray(coupling, dtype=float)
+        if mat.shape != (3, 3) or not np.all(np.isfinite(mat)):
+            raise PerturbationError("coupling must be a finite 3x3 matrix")
+        self.coupling = mat
 
     def kmatrix(self, ctx, sigma):
-        return self.kappa * right_cross_matrix(sigma)
+        return right_cross_matrix(sigma) @ self.coupling
+
+
+class BulkDMI(AnisotropicDMI):
+    def __init__(self, kappa: float = 1.0):
+        self.kappa = float(kappa)
+        super().__init__(self.kappa * np.eye(3))
 
 
 class InterfacialDMI(Perturbation):
@@ -133,28 +140,14 @@ class InterfacialDMI(Perturbation):
         return self.kappa * (c[..., None, None] * eye - n[..., :, None] * sigma[..., None, :])
 
 
-class AnisotropicDMI(Perturbation):
-    def __init__(self, coupling):
-        mat = np.asarray(coupling, dtype=float)
-        if mat.shape != (3, 3) or not np.all(np.isfinite(mat)):
-            raise PerturbationError("coupling must be a finite 3x3 matrix")
-        self.coupling = mat
-
-    def kmatrix(self, ctx, sigma):
-        return right_cross_matrix(sigma) @ self.coupling
-
-
-class TemperatureDMI(Perturbation):
+class TemperatureDMI(AnisotropicDMI):
     """Nonuniform saturation magnetization on top of anisotropic exchange."""
 
     needs_ms_gradient = True
 
     def __init__(self, saturation: ScalarSurfaceField, coupling):
-        mat = np.asarray(coupling, dtype=float)
-        if mat.shape != (3, 3) or not np.all(np.isfinite(mat)):
-            raise PerturbationError("coupling must be a finite 3x3 matrix")
+        super().__init__(coupling)
         self.saturation = saturation
-        self.coupling = mat
 
     def ms_values(self, grid: SurfaceGrid) -> np.ndarray:
         values = self.saturation.evaluate(grid.points)
@@ -166,6 +159,7 @@ class TemperatureDMI(Perturbation):
         return surface_scalar_gradient(grid, self.ms_values(grid))
 
     def kmatrix(self, ctx, sigma):
+        # restates (J w) x sigma: super() would make one call two nested kmatrix calls
         if ctx.grad_ms is None:
             raise PerturbationError("frame sample lacks the saturation gradient")
         g = np.broadcast_to(ctx.grad_ms, sigma.shape)

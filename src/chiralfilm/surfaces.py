@@ -11,7 +11,9 @@ kappa_i = +1).
 
 Nodes sit at chart cell centers (midpoint rule); area weights are
 cell area times the chart stretch factors, so their sum approximates the
-surface area to second order.
+surface area to second order.  The thickness budget eps_max = 1/(2 sup|kappa|)
+takes each chart's closed-form sup|kappa| over the whole surface, so it holds
+between the nodes too: a thick torus peaks on its inner equator.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 # coefficients over [2/3, 2]; the smallest symmetric bound containing both is 4.
 METRIC_BOUND = 4.0
 DEFAULT_FLAT_EPS_MAX = 1.0
-
-SURFACE_KINDS = ("sphere", "torus", "cylinder", "flat_patch")
 
 
 class SurfaceError(ValueError):
@@ -157,21 +157,30 @@ _CHARTS = {
 
 
 def _chart_bounds(spec):
-    """(u_range, v_range, periodic_u, periodic_v) for the chart."""
+    """(u_range, v_range, periodic_u, periodic_v, sup|kappa|) for the chart; the
+    curvature bound is the closed form over the whole surface, not over its nodes."""
+    full = (0.0, 2.0 * np.pi)
     if spec.kind == "sphere":
-        return (spec.theta_cap, np.pi - spec.theta_cap), (0.0, 2.0 * np.pi), False, True
+        return (spec.theta_cap, np.pi - spec.theta_cap), full, False, True, 1.0 / spec.radius
     if spec.kind == "torus":
-        return (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), True, True
+        a, b = spec.major_radius, spec.minor_radius  # 1/(a - b) on the inner equator
+        return full, full, True, True, max(1.0 / b, 1.0 / (a - b)) if a > b else float("inf")
     if spec.kind == "cylinder":
-        return (0.0, 2.0 * np.pi), (-0.5 * spec.height, 0.5 * spec.height), True, False
-    if spec.kind == "flat_patch":
-        return (0.0, spec.lx), (0.0, spec.ly), spec.periodic_u, spec.periodic_v
-    raise SurfaceError(f"unknown surface kind {spec.kind!r}")
+        return full, (-0.5 * spec.height, 0.5 * spec.height), True, False, 1.0 / spec.radius
+    return (0.0, spec.lx), (0.0, spec.ly), spec.periodic_u, spec.periodic_v, 0.0
+
+
+def thickness_budget(spec: SurfaceSpec) -> ThicknessBudget:
+    """eps_max = 1/(2 sup|kappa|) over the surface, or `flat_eps_max` when it is flat.
+    The spec is not validated: a torus whose tube reaches its axis gets eps_max 0."""
+    kappa_max = _chart_bounds(spec)[4]
+    eps_max = 1.0 / (2.0 * kappa_max) if kappa_max > 0.0 else spec.flat_eps_max
+    return ThicknessBudget(kappa_max=kappa_max, eps_max=eps_max)
 
 
 def _validate(spec: SurfaceSpec):
-    if spec.kind not in SURFACE_KINDS:
-        raise SurfaceError(f"unknown surface kind {spec.kind!r}; expected one of {SURFACE_KINDS}")
+    if spec.kind not in _CHARTS:
+        raise SurfaceError(f"unknown surface kind {spec.kind!r}; expected one of {tuple(_CHARTS)}")
     if spec.n_u < 4 or spec.n_v < 4:
         raise SurfaceError(f"resolution too small: need n_u, n_v >= 4, got {spec.n_u}x{spec.n_v}")
     if spec.kind == "sphere":
@@ -226,52 +235,43 @@ class SurfaceGrid:
                 f"film half-thickness eps={eps} outside budget (0, {self.budget.eps_max}]"
             )
 
+    def _stencil(self, values: np.ndarray, direction: int):
+        """(stencil matrix, chart axis, stretch shaped to divide `values`) of a direction."""
+        if values.shape[:2] != self.shape:
+            raise SurfaceError(f"field shape {values.shape[:2]} does not match grid {self.shape}")
+        if direction not in (0, 1):
+            raise SurfaceError("direction must be 0 or 1")
+        stretch = (self.stretch_u, self.stretch_v)[direction]
+        stretch = stretch.reshape(stretch.shape + (1,) * (values.ndim - 2))
+        return (self.diff_u, self.diff_v)[direction], direction, stretch
+
     def tangential_derivative(self, values: np.ndarray, direction: int) -> np.ndarray:
         """Derivative along the unit principal direction tau_{direction+1}.
 
         `values` has chart shape (n_u, n_v, ...); second-order stencils with
         periodic wrap where the chart is periodic.
         """
-        if values.shape[:2] != self.shape:
-            raise SurfaceError(f"field shape {values.shape[:2]} does not match grid {self.shape}")
-        if direction == 0:
-            raw = apply_difference(self.diff_u, values, 0)
-            stretch = self.stretch_u
-        elif direction == 1:
-            raw = apply_difference(self.diff_v, values, 1)
-            stretch = self.stretch_v
-        else:
-            raise SurfaceError("direction must be 0 or 1")
-        raw /= stretch.reshape(stretch.shape + (1,) * (values.ndim - 2))
+        mat, axis, stretch = self._stencil(values, direction)
+        raw = apply_difference(mat, values, axis)
+        raw /= stretch
         return raw
 
     def tangential_derivative_adjoint(self, cotangent: np.ndarray, direction: int) -> np.ndarray:
         """Adjoint of tangential_derivative (exact transpose of the stencil)."""
-        if direction == 0:
-            stretch, mat, axis = self.stretch_u, self.diff_u, 0
-        else:
-            stretch, mat, axis = self.stretch_v, self.diff_v, 1
-        scaled = cotangent / stretch.reshape(stretch.shape + (1,) * (cotangent.ndim - 2))
-        return apply_difference(mat.T, scaled, axis)
+        mat, axis, stretch = self._stencil(cotangent, direction)
+        return apply_difference(mat.T, cotangent / stretch, axis)
 
 
 def build_surface(spec: SurfaceSpec) -> SurfaceGrid:
     """Build the frame grid and thickness budget for a surface spec."""
     _validate(spec)
-    (u0, u1), (v0, v1), per_u, per_v = _chart_bounds(spec)
+    (u0, u1), (v0, v1), per_u, per_v, _ = _chart_bounds(spec)
     du = (u1 - u0) / spec.n_u
     dv = (v1 - v0) / spec.n_v
     u = u0 + (np.arange(spec.n_u) + 0.5) * du
     v = v0 + (np.arange(spec.n_v) + 0.5) * dv
     cu, cv = np.meshgrid(u, v, indexing="ij")
     point, tau1, tau2, normal, kappa1, kappa2, stretch_u, stretch_v = _CHARTS[spec.kind](spec, cu, cv)
-
-    kappa_max = float(np.max(np.maximum(np.abs(kappa1), np.abs(kappa2))))
-    if kappa_max > 0.0:
-        eps_max = 1.0 / (2.0 * kappa_max)
-    else:
-        eps_max = spec.flat_eps_max
-    budget = ThicknessBudget(kappa_max=kappa_max, eps_max=eps_max)
 
     return SurfaceGrid(
         spec=spec,
@@ -290,7 +290,7 @@ def build_surface(spec: SurfaceSpec) -> SurfaceGrid:
         stretch_u=stretch_u,
         stretch_v=stretch_v,
         area_weight=du * dv * stretch_u * stretch_v,
-        budget=budget,
+        budget=thickness_budget(spec),
         diff_u=difference_matrix(spec.n_u, du, per_u),
         diff_v=difference_matrix(spec.n_v, dv, per_v),
     )

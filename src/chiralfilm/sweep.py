@@ -41,7 +41,13 @@ from .energies import (
     optimal_corrector,
     recovery_field,
 )
-from .perturbations import IDENTITY_TENSOR, InterfacialDMI, ZeroPerturbation, frame_sample
+from .perturbations import (
+    IDENTITY_TENSOR,
+    AnisotropicDMI,
+    InterfacialDMI,
+    ZeroPerturbation,
+    frame_sample,
+)
 from .surfaces import SurfaceGrid
 from .targets import SphereTarget, TargetError
 
@@ -335,10 +341,12 @@ def check_vanishing_identity(grid: SurfaceGrid, target, pert, samples: int = 100
 
 
 def identity_is_predicted_vanishing(pert, target) -> bool:
-    """Whether the shape-anisotropy density is predicted to vanish."""
-    if isinstance(pert, (InterfacialDMI, ZeroPerturbation)):
-        return True
-    return isinstance(target, SphereTarget)
+    """Whether the shape-anisotropy density (K n_N . n_M)^2 is predicted to vanish:
+    K n_N = 0 (interfacial, zero, or a zero coupling J, since grad_Ms is tangential),
+    or n_M(sigma) = sigma on a sphere target, to which K n_N = (J n_N) x sigma is normal."""
+    zero_coupling = isinstance(pert, AnisotropicDMI) and not np.any(pert.coupling)
+    return (zero_coupling or isinstance(pert, (InterfacialDMI, ZeroPerturbation))
+            or isinstance(target, SphereTarget))
 
 
 def planar_interfacial_crosscheck(grid: SurfaceGrid, kappa: float = 1.0, fields: int = 20,

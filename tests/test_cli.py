@@ -473,7 +473,7 @@ def test_sweep_eps_list_override(tmp_path):
 def test_sweep_empty_eps_list_exits_1(tmp_path, capsys):
     # an empty override fails the value rules instead of falling back to the config's list
     path = write_tiny_config(tmp_path, tmp_path / "empty")
-    for override in ("", ","):
+    for override in ("", ",", "0.2,,0.1", "0.2,"):
         assert main(["sweep", "--config", path, "--eps-list", override, "--quiet"]) == 1, override
         assert "config invalid at sweep/eps_list" in capsys.readouterr().err
     assert not (tmp_path / "empty" / "report.json").exists()
@@ -493,16 +493,40 @@ def test_command_line_overrides_pass_the_schema(tmp_path, capsys, monkeypatch):
 
 def test_check_identities_command(tmp_path, capsys):
     out_dir = tmp_path / "ident"
-    # bulk on the sphere, and the zero perturbation, whose residual is exactly 0 on any target
-    zero_ellipsoid = {"perturbation": {"kind": "zero"},
-                      "target": {"kind": "ellipsoid", "semi_axes": [1.2, 1.0, 0.8]}}
-    for extra in ({}, zero_ellipsoid):
+    # bulk on the sphere, and the zero perturbation and bulk with kappa = 0, whose
+    # residuals are exactly 0 on any target
+    ellipsoid = {"kind": "ellipsoid", "semi_axes": [1.2, 1.0, 0.8]}
+    zero_ellipsoid = {"perturbation": {"kind": "zero"}, "target": ellipsoid}
+    zero_bulk_ellipsoid = {"perturbation": {"kind": "bulk_dmi", "kappa": 0.0}, "target": ellipsoid}
+    for extra in ({}, zero_ellipsoid, zero_bulk_ellipsoid):
         path = write_tiny_config(tmp_path, out_dir, extra)
         assert main(["check-identities", "--config", path, "--json"]) == 0
         got = json.loads(capsys.readouterr().out)
         assert got["vanishing_predicted"] is True
         assert got["ok"] is True
         assert got["max_residual"] <= 1e-14 * got["scale"]
+
+
+def test_check_identities_wants_more_than_roundoff_where_none_vanishes(tmp_path, capsys,
+                                                                       monkeypatch):
+    # J = 0 leaves only (grad_Ms . w) sigma, whose residual is roundoff; a prediction
+    # that it does not vanish must fail on it, not pass on residual > 0
+    monkeypatch.setattr(sweep_module, "identity_is_predicted_vanishing", lambda pert, target: False)
+    saturation = {"kind": "affine", "c0": 1.5, "c": [0.0, 0.0, 0.3]}
+    extra = {"perturbation": {"kind": "temperature", "saturation": saturation,
+                              "coupling": [[0.0] * 3] * 3},
+             "target": {"kind": "ellipsoid", "semi_axes": [1.2, 1.0, 0.8]}}
+    path = write_tiny_config(tmp_path, tmp_path / "ident", extra)
+    assert main(["check-identities", "--config", path, "--json"]) == 2
+    got = json.loads(capsys.readouterr().out)
+    assert got["ok"] is False and 0.0 < got["max_residual"] <= 1e-14 * got["scale"]
+
+
+def test_preset_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "bulk", "--out", "", "--quiet"]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_crosscheck_planar_command(capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chiralfilm.config import build_objects, resolve_config
 from chiralfilm.energies import s_quadrature
 from chiralfilm.surfaces import (
     SurfaceError,
@@ -10,6 +11,7 @@ from chiralfilm.surfaces import (
     apply_difference,
     build_surface,
     difference_matrix,
+    thickness_budget,
 )
 from oracles import chart_normal, chart_point, metric_volume_factor, tubular_points
 
@@ -187,6 +189,35 @@ def test_budget_values():
     assert flat.budget.eps_max == 1.0
 
 
+@pytest.mark.parametrize(
+    "surface,kappa_max",
+    [
+        ({"kind": "sphere", "radius": 0.7}, 1.0 / 0.7),
+        ({"kind": "cylinder", "radius": 0.8}, 1.0 / 0.8),
+        ({"kind": "torus", "major_radius": 2.0, "minor_radius": 0.5}, 2.0),
+        # thick tori: sup|kappa| = 1/(R - r) sits on the inner equator, between the nodes
+        ({"kind": "torus", "n_u": 32, "n_v": 16, "major_radius": 2.0, "minor_radius": 1.5}, 2.0),
+        ({"kind": "torus", "major_radius": 2.0, "minor_radius": 1.9}, 10.0),
+        ({"kind": "flat_patch", "lx": 1.0, "ly": 2.0}, 0.0),
+    ],
+    ids=["sphere", "cylinder", "torus", "thick-torus-32x16", "thick-torus-64", "flat_patch"],
+)
+def test_budget_is_the_closed_form_curvature_bound(surface, kappa_max):
+    cfg = resolve_config({"surface": surface, "target": {"kind": "sphere"},
+                          "perturbation": {"kind": "zero"}})
+    grid = build_objects(cfg).grid
+    budget = grid.budget
+    assert budget == thickness_budget(grid.spec)
+    assert budget.kappa_max == pytest.approx(kappa_max, rel=1e-14)
+    if kappa_max > 0.0:
+        assert budget.eps_max == pytest.approx(1.0 / (2.0 * kappa_max), rel=1e-14)
+    else:
+        assert budget.eps_max == grid.spec.flat_eps_max
+    assert np.all(budget.eps_max * np.maximum(np.abs(grid.kappa1), np.abs(grid.kappa2)) <= 0.5)
+    # the default thickness list is clipped by the same budget
+    assert all(0.0 < eps <= budget.eps_max for eps in cfg["sweep"]["eps_list"])
+
+
 def test_shell_volume_consistency(sphere_band):
     # quadrature of eps*sqrt(g) over the band's film reproduces the shell
     # volume between radii R-eps and R+eps restricted to the band cone
@@ -229,8 +260,12 @@ def test_tangential_derivative_identity_map_on_sphere(sphere_band):
 
 
 def test_tangential_derivative_shape_mismatch(flat_patch):
-    with pytest.raises(SurfaceError):
-        flat_patch.tangential_derivative(np.zeros((3, 3, 3)), 0)
+    # the adjoint checks its cotangent and direction as the derivative checks its field
+    for apply in (flat_patch.tangential_derivative, flat_patch.tangential_derivative_adjoint):
+        with pytest.raises(SurfaceError, match="does not match grid"):
+            apply(np.zeros((3, 3, 3)), 0)
+        with pytest.raises(SurfaceError, match="direction must be 0 or 1"):
+            apply(np.zeros(flat_patch.shape + (3,)), 2)
 
 
 def test_adjoint_is_exact_transpose(small_torus, rng):

@@ -163,8 +163,14 @@ def test_failed_eps_entry_marked_and_sweep_continues():
         (InterfacialDMI(0.7), ELLIPSOID, True),
         (TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)), np.eye(3)), SPHERE, True),
         (BulkDMI(1.0), ELLIPSOID, False),
+        # a zero coupling J gives K n_N = 0 on any target
+        (BulkDMI(0.0), ELLIPSOID, True),
+        (AnisotropicDMI(np.zeros((3, 3))), ELLIPSOID, True),
+        (TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)), np.zeros((3, 3))),
+         ELLIPSOID, True),
     ],
-    ids=["bulk-s2", "aniso-s2", "interf-s2", "interf-ell", "temp-s2", "bulk-ell"],
+    ids=["bulk-s2", "aniso-s2", "interf-s2", "interf-ell", "temp-s2", "bulk-ell",
+         "bulk0-ell", "aniso0-ell", "temp0-ell"],
 )
 def test_vanishing_identities(pert, target, predicted):
     grid = small_band(16)
