@@ -305,6 +305,7 @@ def _cmd_check_identities(args):
     from .sweep import check_vanishing_identity, identity_is_predicted_vanishing
 
     cfg, run = _load(args)
+    run.tensor.values_on(run.grid)  # the identity does not use it, but its field is checked as in sweep
     residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
                                                samples=args.samples, seed=run.seed)
     predicted = identity_is_predicted_vanishing(run.pert, run.target)

@@ -93,16 +93,6 @@ class DirectorField:
         return self.values.shape[2]
 
 
-def frame_images(kmat, ctx):
-    """Images K f_m of the frame f = (tau_1, tau_2, n_N) of a FrameSample.
-
-    kmat has shape (..., 3, 3) and broadcasts against the sample's arrays;
-    row m of the (..., 3, 3) result is K f_m.
-    """
-    frame = np.stack([ctx.tau1, ctx.tau2, ctx.normal], axis=-2)
-    return np.einsum("...ij,...mj->...mi", kmat, frame)
-
-
 class KFrame:
     """K(u) applied to the frame F = (tau_1, tau_2, n_N), bound to (grid, pert).
 
@@ -117,11 +107,7 @@ class KFrame:
 
     def __init__(self, grid: SurfaceGrid, pert):
         self.shape = grid.shape
-        ctx = frame_sample(grid, pert)
-        rows = [frame_images(pert.kmatrix(ctx, np.broadcast_to(e, ctx.normal.shape)), ctx)
-                for e in np.eye(3)]
-        basis = np.moveaxis(np.stack(rows, axis=-2), -3, 0)
-        self.basis = np.ascontiguousarray(basis.reshape((3,) + grid.shape + (3, 3)))
+        self.basis = frame_sample(grid, pert)
         self.basis_t = np.ascontiguousarray(np.swapaxes(self.basis, -1, -2))
 
     def images(self, values):

@@ -8,15 +8,14 @@ it, paired with the scalar tensor A = Ms * I.  Interfacial exchange in the
 direction of the surface normal is K(xi, sigma) w = kappa * [(n.sigma) w - (w.sigma) n].
 
 Every preset is linear in sigma, so K(xi, sigma) = sum_j sigma_j K(xi, e_j),
-which the energies build once per grid.  Evaluators are stateless and
-vectorized: they receive a FrameSample whose arrays broadcast against sigma
-of shape (..., 3).
+and the energies only ever use K(xi, e_j) f_m for the frame f = (tau_1, tau_2,
+n_N).  Each kind states that frame basis in closed form as `frame_basis`,
+which `frame_sample` evaluates once per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,15 +47,13 @@ class ScalarSurfaceField:
             return self.c0 + self.c1 * points[..., 2] ** 2
         raise PerturbationError(f"unknown scalar field kind {self.kind!r}")
 
-
-@dataclass
-class FrameSample:
-    """Node-aligned surface data fed to perturbation evaluators."""
-
-    tau1: np.ndarray
-    tau2: np.ndarray
-    normal: np.ndarray
-    grad_ms: Optional[np.ndarray] = None
+    def positive_on(self, grid: SurfaceGrid, name: str) -> np.ndarray:
+        """The nodal values on `grid`, which must be finite and positive."""
+        with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
+            values = self.evaluate(grid.points)
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise PerturbationError(f"{name} must stay finite and positive on the surface")
+        return values
 
 
 def surface_scalar_gradient(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray:
@@ -66,50 +63,26 @@ def surface_scalar_gradient(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray
     return d1[..., None] * grid.tau1 + d2[..., None] * grid.tau2
 
 
-def frame_sample(grid: SurfaceGrid, pert, index=None) -> FrameSample:
-    """Gather frame arrays aligned with a field of shape (n_u, n_v, 3).
-
-    index selects scattered nodes as (ii, jj) arrays.
-    """
-    grad = pert.ms_gradient(grid) if pert.needs_ms_gradient else None
-
-    def pick(arr):
-        return arr[index] if index is not None else arr
-
-    return FrameSample(
-        tau1=pick(grid.tau1),
-        tau2=pick(grid.tau2),
-        normal=pick(grid.normal),
-        grad_ms=pick(grad) if grad is not None else None,
-    )
-
-
-def right_cross_matrix(sigma: np.ndarray) -> np.ndarray:
-    """Matrix R(sigma) with R(sigma) w = w x sigma."""
-    s1, s2, s3 = sigma[..., 0], sigma[..., 1], sigma[..., 2]
-    zero = np.zeros_like(s1)
-    return np.stack(
-        [
-            np.stack([zero, s3, -s2], axis=-1),
-            np.stack([-s3, zero, s1], axis=-1),
-            np.stack([s2, -s1, zero], axis=-1),
-        ],
-        axis=-2,
-    )
+def frame_sample(grid: SurfaceGrid, pert) -> np.ndarray:
+    """The frame basis K(e_j) f_m of `pert` on `grid`, shape (3, n_u, n_v, 3, 3)
+    indexed (m, u, v, j, i), for the frame f = (tau_1, tau_2, n_N)."""
+    return pert.frame_basis(grid, np.stack([grid.tau1, grid.tau2, grid.normal]))
 
 
 class Perturbation:
-    """Base evaluator for the matrix field K(xi, sigma), linear in sigma."""
+    """Base evaluator for the matrix field K(xi, sigma), linear in sigma.
 
-    needs_ms_gradient = False
+    `frame_basis` takes the frame rows f_m as (3, n_u, n_v, 3) and returns
+    K(e_j) f_m in the layout of `frame_sample`.
+    """
 
-    def kmatrix(self, ctx: FrameSample, sigma: np.ndarray) -> np.ndarray:
+    def frame_basis(self, grid: SurfaceGrid, frame: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class ZeroPerturbation(Perturbation):
-    def kmatrix(self, ctx, sigma):
-        return np.zeros(sigma.shape + (3,))
+    def frame_basis(self, grid, frame):
+        return np.zeros(frame.shape + (3,))
 
 
 class AnisotropicDMI(Perturbation):
@@ -119,8 +92,9 @@ class AnisotropicDMI(Perturbation):
             raise PerturbationError("coupling must be a finite 3x3 matrix")
         self.coupling = mat
 
-    def kmatrix(self, ctx, sigma):
-        return right_cross_matrix(sigma) @ self.coupling
+    def frame_basis(self, grid, frame):
+        # K(e_j) f_m = (J f_m) x e_j
+        return np.cross((frame @ self.coupling.T)[..., None, :], np.eye(3))
 
 
 class BulkDMI(AnisotropicDMI):
@@ -133,38 +107,26 @@ class InterfacialDMI(Perturbation):
     def __init__(self, kappa: float = 1.0):
         self.kappa = float(kappa)
 
-    def kmatrix(self, ctx, sigma):
-        n = np.broadcast_to(ctx.normal, sigma.shape)
-        c = np.sum(n * sigma, axis=-1)
-        eye = np.eye(3).reshape((1,) * c.ndim + (3, 3))
-        return self.kappa * (c[..., None, None] * eye - n[..., :, None] * sigma[..., None, :])
+    def frame_basis(self, grid, frame):
+        # K(e_j) f_m = kappa (n_j f_m - (f_m)_j n)
+        n = grid.normal
+        return self.kappa * (n[..., :, None] * frame[..., None, :]
+                             - frame[..., :, None] * n[..., None, :])
 
 
 class TemperatureDMI(AnisotropicDMI):
     """Nonuniform saturation magnetization on top of anisotropic exchange."""
 
-    needs_ms_gradient = True
-
     def __init__(self, saturation: ScalarSurfaceField, coupling):
         super().__init__(coupling)
         self.saturation = saturation
 
-    def ms_values(self, grid: SurfaceGrid) -> np.ndarray:
-        values = self.saturation.evaluate(grid.points)
-        if np.any(values <= 0):
-            raise PerturbationError("saturation magnetization must stay positive on the surface")
-        return values
-
-    def ms_gradient(self, grid: SurfaceGrid) -> np.ndarray:
-        return surface_scalar_gradient(grid, self.ms_values(grid))
-
-    def kmatrix(self, ctx, sigma):
-        # restates (J w) x sigma: super() would make one call two nested kmatrix calls
-        if ctx.grad_ms is None:
-            raise PerturbationError("frame sample lacks the saturation gradient")
-        g = np.broadcast_to(ctx.grad_ms, sigma.shape)
-        outer = sigma[..., :, None] * g[..., None, :]
-        return outer + right_cross_matrix(sigma) @ self.coupling
+    def frame_basis(self, grid, frame):
+        # K(e_j) f_m = (J f_m) x e_j + (grad_Ms . f_m) e_j
+        ms = self.saturation.positive_on(grid, "saturation magnetization")
+        grad = surface_scalar_gradient(grid, ms)
+        along = np.einsum("uvk,muvk->muv", grad, frame)
+        return super().frame_basis(grid, frame) + along[..., None, None] * np.eye(3)
 
 
 class EllipticTensor:
@@ -181,10 +143,7 @@ class EllipticTensor:
     def values_on(self, grid: SurfaceGrid) -> np.ndarray:
         if self.kind == "identity":
             return np.ones(grid.shape)
-        values = self.field.evaluate(grid.points)
-        if np.min(values) <= 0.0:
-            raise PerturbationError("elliptic tensor must be positive on the surface")
-        return values
+        return self.field.positive_on(grid, "elliptic tensor")
 
 
 IDENTITY_TENSOR = EllipticTensor("identity")

@@ -36,7 +36,6 @@ from .energies import (
     EnergyError,
     LimitEnergy,
     ThinFilmEnergy,
-    frame_images,
     h1_distance,
     optimal_corrector,
     recovery_field,
@@ -330,13 +329,12 @@ def check_vanishing_identity(grid: SurfaceGrid, target, pert, samples: int = 100
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, grid.shape[0], size=samples)
     jj = rng.integers(0, grid.shape[1], size=samples)
-    ctx = frame_sample(grid, pert, index=(ii, jj))
+    basis = frame_sample(grid, pert)[:, ii, jj]
     sigma = target.project(rng.standard_normal((samples, 3)))
-    kmat = pert.kmatrix(ctx, sigma)
-    kn = frame_images(kmat, ctx)[..., 2, :]
-    n_m = target.normal(sigma)
-    density = np.sum(kn * n_m, axis=-1) ** 2
-    scale = np.sum(kmat * kmat, axis=(-2, -1))
+    images = np.einsum("sj,msji->msi", sigma, basis)  # K(sigma) f_m
+    density = np.sum(images[2] * target.normal(sigma), axis=-1) ** 2
+    # |K(sigma)|^2 = sum_m |K(sigma) f_m|^2, since the frame is orthonormal
+    scale = np.sum(images * images, axis=(0, -1))
     return float(np.max(density)), float(np.max(scale))
 
 

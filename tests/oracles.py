@@ -2,16 +2,23 @@
 
 Each oracle reaches its number by a route the library does not take: the
 analytic chart map instead of the node arrays, a finite-difference Jacobian
-of the offset map instead of the closed-form metric factors, K evaluated at
-every node's value instead of through the precomputed frame basis, and the
-L-BFGS two-loop recursion pair by pair instead of over the stacked pairs,
-and a field CSV formatted row by row instead of one u-row per `%`.
+of the offset map instead of the closed-form metric factors, K as each
+kind's explicit 3x3 matrix evaluated at every node's value instead of through
+the closed-form frame basis, and the L-BFGS two-loop recursion pair by pair
+instead of over the stacked pairs, and a field CSV formatted row by row
+instead of one u-row per `%`.
 """
 
 import numpy as np
 
-from chiralfilm.energies import EnergyBreakdown, EnergyError, frame_images, s_quadrature
-from chiralfilm.perturbations import frame_sample
+from chiralfilm.energies import EnergyBreakdown, EnergyError, s_quadrature
+from chiralfilm.perturbations import (
+    AnisotropicDMI,
+    InterfacialDMI,
+    TemperatureDMI,
+    ZeroPerturbation,
+    surface_scalar_gradient,
+)
 from chiralfilm.surfaces import _CHARTS, apply_difference
 
 
@@ -71,6 +78,46 @@ def _invert_3x3(mat: np.ndarray) -> np.ndarray:
     return inv
 
 
+def right_cross_matrix(sigma: np.ndarray) -> np.ndarray:
+    """Matrix R(sigma) with R(sigma) w = w x sigma."""
+    s1, s2, s3 = sigma[..., 0], sigma[..., 1], sigma[..., 2]
+    zero = np.zeros_like(s1)
+    return np.stack(
+        [
+            np.stack([zero, s3, -s2], axis=-1),
+            np.stack([-s3, zero, s1], axis=-1),
+            np.stack([s2, -s1, zero], axis=-1),
+        ],
+        axis=-2,
+    )
+
+
+def kmatrix(grid, pert, sigma) -> np.ndarray:
+    """K(xi, sigma) per node as an explicit (..., 3, 3) matrix, from each kind's
+    formula; sigma has the grid's node shape, (n_u, n_v, 3)."""
+    if isinstance(pert, ZeroPerturbation):
+        return np.zeros(sigma.shape + (3,))
+    if isinstance(pert, InterfacialDMI):
+        # kappa [(n . sigma) I - n sigma^T]
+        n = np.broadcast_to(grid.normal, sigma.shape)
+        c = np.sum(n * sigma, axis=-1)
+        return pert.kappa * (c[..., None, None] * np.eye(3) - n[..., :, None] * sigma[..., None, :])
+    if not isinstance(pert, AnisotropicDMI):
+        raise TypeError(f"no K(sigma) formula for {type(pert).__name__}")
+    k = right_cross_matrix(sigma) @ pert.coupling  # (J w) x sigma
+    if isinstance(pert, TemperatureDMI):
+        # plus sigma (grad_Ms . w)
+        grad = surface_scalar_gradient(grid, pert.saturation.evaluate(grid.points))
+        k = k + sigma[..., :, None] * np.broadcast_to(grad, sigma.shape)[..., None, :]
+    return k
+
+
+def frame_images(grid, kmat) -> np.ndarray:
+    """Row m of the (..., 3, 3) result is K f_m, for the frame f = (tau_1, tau_2, n_N)."""
+    frame = np.stack([grid.tau1, grid.tau2, grid.normal], axis=-2)
+    return np.einsum("...ij,...mj->...mi", kmat, frame)
+
+
 def direct_tubular_energy(grid, pert, eps, field) -> float:
     """Ambient chiral Dirichlet energy by direct volume quadrature.
 
@@ -98,8 +145,7 @@ def direct_tubular_energy(grid, pert, eps, field) -> float:
     mu = np.stack([du1, du2, dus], axis=-1)
 
     dv = mu @ _invert_3x3(jac)
-    ctx = frame_sample(grid, pert)
-    kmat = np.stack([pert.kmatrix(ctx, values[:, :, k]) for k in range(n_s)], axis=2)
+    kmat = np.stack([kmatrix(grid, pert, values[:, :, k]) for k in range(n_s)], axis=2)
     dens = np.sum((dv + kmat) ** 2, axis=(-2, -1))
 
     es = eps * s[None, None, :]
@@ -110,8 +156,7 @@ def direct_tubular_energy(grid, pert, eps, field) -> float:
 
 def _node_images(grid, pert, values):
     """K(u) f_m per node, as (..., 3, 3) with row m = K(u) f_m, straight from kmatrix."""
-    ctx = frame_sample(grid, pert)
-    return frame_images(pert.kmatrix(ctx, values), ctx)
+    return frame_images(grid, kmatrix(grid, pert, values))
 
 
 def per_node_limit_breakdown(grid, target, pert, tensor, values) -> EnergyBreakdown:

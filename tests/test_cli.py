@@ -507,6 +507,26 @@ def test_check_identities_command(tmp_path, capsys):
         assert got["max_residual"] <= 1e-14 * got["scale"]
 
 
+_OVERFLOWING = {"kind": "banded", "c0": 1e308, "c1": 1e308}  # inf wherever x3 != 0
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"perturbation": {"kind": "temperature", "saturation": _OVERFLOWING,
+                       "coupling": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+     "saturation magnetization"),
+    ({"tensor": {"kind": "scalar_field", "field": _OVERFLOWING}}, "elliptic tensor"),
+], ids=["saturation", "tensor"])
+@pytest.mark.parametrize("command", ["sweep", "check-identities"])
+def test_a_field_not_finite_on_the_surface_exits_1(tmp_path, capsys, extra, name, command):
+    # the field is rejected as a config error, not run into a non-finite energy or residual
+    extra = {**extra, "surface": {**TINY["surface"], "n_u": 8, "n_v": 8}}
+    path = write_tiny_config(tmp_path, tmp_path / "out", extra)
+    assert main([command, "--config", path, "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert f"{name} must stay finite and positive on the surface" in captured.err
+    assert "Warning" not in captured.err and captured.out == ""
+
+
 def test_check_identities_wants_more_than_roundoff_where_none_vanishes(tmp_path, capsys,
                                                                        monkeypatch):
     # J = 0 leaves only (grad_Ms . w) sigma, whose residual is roundoff; a prediction

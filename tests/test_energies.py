@@ -25,11 +25,10 @@ from chiralfilm.perturbations import (
     ScalarSurfaceField,
     TemperatureDMI,
     ZeroPerturbation,
-    frame_sample,
 )
 from chiralfilm.surfaces import SurfaceSpec, build_surface
 from chiralfilm.targets import EllipsoidTarget, SphereTarget
-from oracles import direct_tubular_energy, per_node_limit_breakdown, per_node_thin_breakdown
+from oracles import direct_tubular_energy, kmatrix, per_node_limit_breakdown, per_node_thin_breakdown
 
 SPHERE = SphereTarget(1.0)
 ELLIPSOID = EllipsoidTarget([2.0, 1.0, 1.0])
@@ -95,8 +94,7 @@ def test_flat_patch_s_constant_reduction(flat_patch, rng):
     bd_lim = LimitEnergy(flat_patch, SPHERE, pert).breakdown(surf.values)[0]
     assert bd_thin.tangential == pytest.approx(bd_lim.tangential, rel=1e-10)
 
-    ctx = frame_sample(flat_patch, pert)
-    kmat = pert.kmatrix(ctx, surf.values)
+    kmat = kmatrix(flat_patch, pert, surf.values)
     kn = np.einsum("...ij,...j->...i", kmat, flat_patch.normal)
     expected_normal = float(np.sum(flat_patch.area_weight * np.sum(kn * kn, axis=-1)))
     assert bd_thin.normal_or_anisotropy == pytest.approx(expected_normal, rel=1e-10)
@@ -174,8 +172,7 @@ def test_optimal_corrector_properties(small_torus, rng):
     n_m = ELLIPSOID.normal(f.values)
     assert np.max(np.abs(np.sum(d0 * n_m, axis=-1))) < 1e-12
 
-    ctx = frame_sample(small_torus, pert)
-    kn = np.einsum("...ij,...j->...i", pert.kmatrix(ctx, f.values), small_torus.normal)
+    kn = np.einsum("...ij,...j->...i", kmatrix(small_torus, pert, f.values), small_torus.normal)
     plugged = np.sum((d0 + kn) ** 2, axis=-1)
     expected = np.sum(kn * n_m, axis=-1) ** 2
     assert np.max(np.abs(plugged - expected)) < 1e-12
@@ -190,8 +187,7 @@ def test_optimal_corrector_against_tangent_grid_search(small_torus, rng):
     pert = BulkDMI(1.0)
     f = random_field(small_torus, ELLIPSOID, "surface", seed=5)
     d0 = optimal_corrector(LimitEnergy(small_torus, ELLIPSOID, pert), f.values)
-    ctx = frame_sample(small_torus, pert)
-    kn_all = np.einsum("...ij,...j->...i", pert.kmatrix(ctx, f.values), small_torus.normal)
+    kn_all = np.einsum("...ij,...j->...i", kmatrix(small_torus, pert, f.values), small_torus.normal)
 
     for _ in range(20):
         i = int(rng.integers(0, small_torus.shape[0]))
@@ -393,7 +389,7 @@ def test_perturbation_strategy_keeps_saturation_positive():
                 for signs in np.ndindex(2, 2, 2):
                     c = tuple(SATURATION_SLOPE * (2 * np.array(signs) - 1))
                     pert = TemperatureDMI(ScalarSurfaceField("affine", c0=1.0, c=c), COUPLING)
-                    assert np.min(pert.ms_values(grid)) > 0.0
+                    assert np.min(pert.saturation.evaluate(grid.points)) > 0.0
 
 
 @pytest.mark.parametrize("layout", ["surface", "thin"])
@@ -518,11 +514,10 @@ def test_couplings_match_a_per_node_contraction(small_torus, layout, rng):
     shape = small_torus.shape + ((6,) if layout == "thin" else ()) + (3,)
     y = rng.standard_normal((3,) + shape)
     for kind, pert in PERTURBATION_PER_KIND.items():
-        ctx = frame_sample(small_torus, pert)
-        frame = (ctx.tau1, ctx.tau2, ctx.normal)
+        frame = (small_torus.tau1, small_torus.tau2, small_torus.normal)
         want = np.empty_like(y)
         for j, e in enumerate(np.eye(3)):
-            k_j = pert.kmatrix(ctx, np.broadcast_to(e, ctx.normal.shape))
+            k_j = kmatrix(small_torus, pert, np.broadcast_to(e, small_torus.normal.shape))
             for m, f_m in enumerate(frame):
                 want[m, ..., j] = np.einsum("...i,...ik,...k->...", y[m], k_j[layers], f_m[layers])
         got = KFrame(small_torus, pert).couplings(y)

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chiralfilm.config import _KINDS
-from chiralfilm.energies import frame_images
 from chiralfilm.perturbations import (
     AnisotropicDMI,
     BulkDMI,
@@ -15,15 +14,9 @@ from chiralfilm.perturbations import (
     TemperatureDMI,
     ZeroPerturbation,
     frame_sample,
-    right_cross_matrix,
     surface_scalar_gradient,
 )
-
-
-def sample_ctx(grid, pert, rng, count=100):
-    ii = rng.integers(0, grid.shape[0], size=count)
-    jj = rng.integers(0, grid.shape[1], size=count)
-    return frame_sample(grid, pert, index=(ii, jj))
+from oracles import frame_images, kmatrix, right_cross_matrix
 
 
 def test_right_cross_matrix_matches_cross_product(rng):
@@ -35,9 +28,8 @@ def test_right_cross_matrix_matches_cross_product(rng):
 
 def test_bulk_column_example(small_torus):
     pert = BulkDMI(1.0)
-    ctx = frame_sample(small_torus, pert, index=(np.array([0]), np.array([0])))
-    sigma = np.array([[0.0, 0.0, 1.0]])
-    k = pert.kmatrix(ctx, sigma)[0]
+    sigma = np.broadcast_to([0.0, 0.0, 1.0], small_torus.shape + (3,))
+    k = kmatrix(small_torus, pert, sigma)[0, 0]
     # first column is K e_1 = e_1 x sigma
     assert np.allclose(k[:, 0], [0.0, -1.0, 0.0], atol=1e-15)
     assert np.allclose(k[:, 1], [1.0, 0.0, 0.0], atol=1e-15)
@@ -46,19 +38,19 @@ def test_bulk_column_example(small_torus):
 
 def test_interfacial_annihilates_normal(small_torus, rng):
     pert = InterfacialDMI(0.9)
-    ctx = sample_ctx(small_torus, pert, rng, 500)
-    sigma = rng.standard_normal((500, 3))
-    k = pert.kmatrix(ctx, sigma)
-    kn = np.einsum("...ij,...j->...i", k, ctx.normal)
+    sigma = rng.standard_normal(small_torus.shape + (3,))
+    k = kmatrix(small_torus, pert, sigma)
+    kn = np.einsum("...ij,...j->...i", k, small_torus.normal)
     assert np.max(np.abs(kn)) < 1e-14
+    # the frame basis states K(e_j) n_N = kappa (n_j n - n_j n), which is exactly 0
+    assert np.all(frame_sample(small_torus, pert)[2] == 0.0)
 
 
 def test_interfacial_flat_patch_form(flat_patch, rng):
     kappa = 1.3
     pert = InterfacialDMI(kappa)
-    ctx = frame_sample(flat_patch, pert)
     sigma = rng.standard_normal(flat_patch.shape + (3,))
-    k = pert.kmatrix(ctx, sigma)
+    k = kmatrix(flat_patch, pert, sigma)
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
@@ -71,51 +63,48 @@ def test_anisotropic_with_identity_equals_bulk(small_torus, rng):
     kappa = 1.7
     bulk = BulkDMI(kappa)
     aniso = AnisotropicDMI(kappa * np.eye(3))
-    ctx = sample_ctx(small_torus, bulk, rng)
-    sigma = rng.standard_normal((100, 3))
-    kb = bulk.kmatrix(ctx, sigma)
-    ka = aniso.kmatrix(ctx, sigma)
+    sigma = rng.standard_normal(small_torus.shape + (3,))
+    kb = kmatrix(small_torus, bulk, sigma)
+    ka = kmatrix(small_torus, aniso, sigma)
     assert np.array_equal(kb, ka)
+    assert np.array_equal(frame_sample(small_torus, bulk), frame_sample(small_torus, aniso))
 
 
 def test_zero_perturbation(small_torus, rng):
     pert = ZeroPerturbation()
-    ctx = sample_ctx(small_torus, pert, rng, 10)
-    sigma = rng.standard_normal((10, 3))
-    assert np.all(pert.kmatrix(ctx, sigma) == 0.0)
+    sigma = rng.standard_normal(small_torus.shape + (3,))
+    assert np.all(kmatrix(small_torus, pert, sigma) == 0.0)
+    assert np.all(frame_sample(small_torus, pert) == 0.0)
 
 
 def test_temperature_with_constant_saturation_reduces_to_anisotropic(small_torus, rng):
     coupling = rng.standard_normal((3, 3))
     temp = TemperatureDMI(ScalarSurfaceField("constant", c0=2.0), coupling)
     aniso = AnisotropicDMI(coupling)
-    ctx_t = frame_sample(small_torus, temp)
-    ctx_a = frame_sample(small_torus, aniso)
     sigma = rng.standard_normal(small_torus.shape + (3,))
-    kt = temp.kmatrix(ctx_t, sigma)
-    ka = aniso.kmatrix(ctx_a, sigma)
+    kt = kmatrix(small_torus, temp, sigma)
+    ka = kmatrix(small_torus, aniso, sigma)
     # gradient of a constant field vanishes exactly through the stencils
     assert np.array_equal(kt, ka)
+    assert np.array_equal(frame_sample(small_torus, temp), frame_sample(small_torus, aniso))
 
 
 def test_antisymmetry_of_coupled_cross_perturbations(small_torus, rng):
     coupling = rng.standard_normal((3, 3))
     for pert in (BulkDMI(1.1), AnisotropicDMI(coupling)):
-        ctx = sample_ctx(small_torus, pert, rng, 200)
-        sigma = rng.standard_normal((200, 3))
-        w = rng.standard_normal((200, 3))
-        k = pert.kmatrix(ctx, sigma)
+        sigma = rng.standard_normal(small_torus.shape + (3,))
+        w = rng.standard_normal(small_torus.shape + (3,))
+        k = kmatrix(small_torus, pert, sigma)
         kw = np.einsum("...ij,...j->...i", k, w)
         assert np.max(np.abs(np.sum(kw * sigma, axis=-1))) < 1e-13
 
 
 def test_matrix_linearity_in_argument(small_torus, rng):
     pert = InterfacialDMI(0.7)
-    ctx = sample_ctx(small_torus, pert, rng, 50)
-    sigma = rng.standard_normal((50, 3))
-    k = pert.kmatrix(ctx, sigma)
-    w1 = rng.standard_normal((50, 3))
-    w2 = rng.standard_normal((50, 3))
+    sigma = rng.standard_normal(small_torus.shape + (3,))
+    k = kmatrix(small_torus, pert, sigma)
+    w1 = rng.standard_normal(small_torus.shape + (3,))
+    w2 = rng.standard_normal(small_torus.shape + (3,))
     alpha = 1.375
     lhs = np.einsum("...ij,...j->...i", k, alpha * w1 + w2)
     rhs = alpha * np.einsum("...ij,...j->...i", k, w1) + np.einsum("...ij,...j->...i", k, w2)
@@ -144,19 +133,33 @@ def test_every_kind_is_linear_in_sigma(small_torus, kind, t, seed, data):
     # relies on; a kind without a strategy above fails with a KeyError
     pert = data.draw(_PERTURBATION_KINDS[kind])
     rng = np.random.default_rng(seed)
-    ctx = frame_sample(small_torus, pert)
     s1 = rng.standard_normal(small_torus.shape + (3,))
     s2 = rng.standard_normal(small_torus.shape + (3,))
-    k1, k2 = pert.kmatrix(ctx, s1), pert.kmatrix(ctx, s2)
-    lhs = pert.kmatrix(ctx, s1 + t * s2)
+    k1, k2 = kmatrix(small_torus, pert, s1), kmatrix(small_torus, pert, s2)
+    lhs = kmatrix(small_torus, pert, s1 + t * s2)
     scale = 1.0 + np.max(np.abs(k1)) + abs(t) * np.max(np.abs(k2))
     assert np.max(np.abs(lhs - (k1 + t * k2))) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("surface", ["sphere_band", "small_torus", "flat_patch"])
+@given(kind=st.sampled_from(sorted(_PERTURBATION_KINDS)), data=st.data())
+def test_frame_basis_is_the_explicit_matrix_on_the_frame(request, surface, kind, data):
+    # each kind's closed-form K(e_j) f_m against its explicit 3x3 K(e_j) applied to f_m
+    grid = request.getfixturevalue(surface)
+    pert = data.draw(_PERTURBATION_KINDS[kind])
+    basis = frame_sample(grid, pert)
+    assert basis.shape == (3,) + grid.shape + (3, 3)
+    want = np.stack([frame_images(grid, kmatrix(grid, pert, np.broadcast_to(e, grid.normal.shape)))
+                     for e in np.eye(3)], axis=-2)  # (n_u, n_v, m, j, i)
+    want = np.moveaxis(want, -3, 0)
+    # below the smallest normal float (a subnormal kappa) roundoff is absolute
+    bound = 1e-14 * np.max(np.abs(want)) + np.finfo(float).tiny
+    assert np.max(np.abs(basis - want)) <= bound
+
+
 def tangential_images(pert, grid, sigma):
     """Columns K(xi, sigma) tau_1 and K(xi, sigma) tau_2 per node."""
-    ctx = frame_sample(grid, pert)
-    images = frame_images(pert.kmatrix(ctx, sigma), ctx)
+    images = frame_images(grid, kmatrix(grid, pert, sigma))
     return images[..., 0, :], images[..., 1, :]
 
 
@@ -225,4 +228,22 @@ def test_elliptic_tensor_affine_on_sphere(sphere_band):
 def test_temperature_requires_positive_saturation(small_torus):
     temp = TemperatureDMI(ScalarSurfaceField("constant", c0=-1.0), np.eye(3))
     with pytest.raises(PerturbationError):
-        temp.ms_values(small_torus)
+        frame_sample(small_torus, temp)
+
+
+_NOT_POSITIVE = [
+    ScalarSurfaceField("constant", c0=0.0),
+    ScalarSurfaceField("constant", c0=float("nan")),
+    ScalarSurfaceField("constant", c0=float("inf")),
+    ScalarSurfaceField("banded", c0=1e308, c1=1e308),  # overflows to inf off the equator
+]
+
+
+@pytest.mark.parametrize("field", _NOT_POSITIVE)
+def test_surface_fields_must_be_finite_and_positive(sphere_band, field):
+    # a RuntimeWarning from the overflow would fail here too, as the test suite makes it an error
+    temp = TemperatureDMI(field, np.eye(3))
+    with pytest.raises(PerturbationError, match="saturation magnetization must stay finite and positive"):
+        frame_sample(sphere_band, temp)
+    with pytest.raises(PerturbationError, match="elliptic tensor must stay finite and positive"):
+        EllipticTensor("scalar_field", field).values_on(sphere_band)

@@ -168,14 +168,19 @@ def test_failed_eps_entry_marked_and_sweep_continues():
         (AnisotropicDMI(np.zeros((3, 3))), ELLIPSOID, True),
         (TemperatureDMI(ScalarSurfaceField("affine", c0=1.5, c=(0.0, 0.0, 0.3)), np.zeros((3, 3))),
          ELLIPSOID, True),
+        (ZeroPerturbation(), SPHERE, True),
+        (ZeroPerturbation(), ELLIPSOID, True),
     ],
     ids=["bulk-s2", "aniso-s2", "interf-s2", "interf-ell", "temp-s2", "bulk-ell",
-         "bulk0-ell", "aniso0-ell", "temp0-ell"],
+         "bulk0-ell", "aniso0-ell", "temp0-ell", "zero-s2", "zero-ell"],
 )
 def test_vanishing_identities(pert, target, predicted):
     grid = small_band(16)
     residual, scale = check_vanishing_identity(grid, target, pert, samples=1000, seed=0)
     assert identity_is_predicted_vanishing(pert, target) == predicted
+    if isinstance(pert, (InterfacialDMI, ZeroPerturbation)):
+        # K(e_j) n_N is 0 by construction for these kinds, so no roundoff is left over
+        assert residual == 0.0
     if predicted:
         assert residual <= 1e-14 * scale
     else:

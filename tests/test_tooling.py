@@ -58,7 +58,8 @@ def test_traced_benchmark_run_counts_every_layer_it_patches(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"], done.stderr
     metrics = result["metrics"]
-    for name in ("descent.trials", "energies.thin_eval_calls", "energies.thin_grad_calls"):
+    for name in ("descent.trials", "energies.thin_eval_calls", "energies.thin_grad_calls",
+                 "perturbations.frame_sample_s"):
         assert metrics[name]["value"] > 0, name
 
 
