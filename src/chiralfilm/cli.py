@@ -5,9 +5,16 @@ ones share `--config` and `--output-dir`; `_load` resolves the JSON run
 configuration and builds the sweep it describes.  `preset` offers the entries
 of `config.PRESETS`.  Exit codes: 0 success, 1 configuration/validation or
 usage error, 2 numerical failure.  Set CHIRALFILM_THREADS to pin the BLAS
-thread count before any computation.  The package is imported inside each
-function, so a module attribute replaced after this module is imported (such
-as `sweep.run_sweep`) is the one that runs.
+thread count before any computation.  Library calls go through the module
+attributes (`sweep.run_sweep`, `config.resolve_config`), never through names
+bound at import, so a module attribute replaced after this module is imported
+is the one that runs.
+
+Each subcommand returns its exit code, its JSON payload and its summary text,
+and `main` alone writes stdout: the canonical JSON of the payload when the
+summary is None (`eval-energy`, `check-identities` and `crosscheck-planar`
+always print JSON) or `--json` is given, else the summary unless `--quiet` is
+given.
 
 `sweep` runs its thicknesses' film minimizations, and then writes their
 field and trace CSVs (one share per thickness, one for the limit), in up to
@@ -21,9 +28,10 @@ before any minimization.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+
+from . import __version__, config, descent, energies, reporting, surfaces, sweep, targets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,8 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    from .config import PRESETS
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     common.add_argument("--json", action="store_true", dest="json_out",
@@ -51,7 +57,7 @@ def _build_parser():
         return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("preset", help="write a ready-to-run configuration")
-    p.add_argument("name", choices=list(PRESETS))
+    p.add_argument("name", choices=list(config.PRESETS))
     p.add_argument("--out", default=None, help="output path (default <name>.config.json)")
 
     add_parser("describe-surface", configured, help="dump the frame grid and thickness budget")
@@ -81,17 +87,6 @@ def _build_parser():
     return parser
 
 
-def _say(args, message):
-    if not args.quiet and not args.json_out:
-        print(message)
-
-
-def _emit(args, payload):
-    from .reporting import dumps_canonical
-
-    print(dumps_canonical(payload))
-
-
 def _number_or_text(token):
     """A float, or the token itself when it is not one, for the value rules to reject."""
     try:
@@ -104,19 +99,17 @@ def _load(args, seed=None, eps_list=None):
     """The resolved config and the sweep it describes, with the command-line
     overrides applied to the raw document first so that they pass the same
     checks as the file."""
-    from .config import build_objects, read_config, resolve_config
-
-    raw = read_config(args.config)
+    raw = config.read_config(args.config)
     if args.output_dir is not None:
         raw["output_dir"] = args.output_dir
     if seed is not None:
         raw["seed"] = seed
     if eps_list is not None:
-        sweep = raw.setdefault("sweep", {})
-        if isinstance(sweep, dict):  # anything else fails resolve_config below
-            sweep["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",")]
-    cfg = resolve_config(raw)
-    return cfg, build_objects(cfg)
+        section = raw.setdefault("sweep", {})
+        if isinstance(section, dict):  # anything else fails resolve_config below
+            section["eps_list"] = [_number_or_text(tok) for tok in eps_list.split(",")]
+    cfg = config.resolve_config(raw)
+    return cfg, config.build_objects(cfg)
 
 
 def _check_eps(args):
@@ -130,43 +123,29 @@ def _check_eps(args):
 def _energy_model(args, run, n_s):
     """The energy form `--form` names, on the sweep's grid, perturbation and tensor;
     the thin form has `n_s` layers."""
-    from .energies import LimitEnergy, ThinFilmEnergy
-
     if args.form == "thin":
-        return ThinFilmEnergy(run.grid, run.pert, args.eps, n_s, tensor=run.tensor)
-    return LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
+        return energies.ThinFilmEnergy(run.grid, run.pert, args.eps, n_s, tensor=run.tensor)
+    return energies.LimitEnergy(run.grid, run.target, run.pert, tensor=run.tensor)
 
 
 def _echo_config(cfg, out_dir):
-    from . import __version__
-    from .reporting import write_json
-
-    write_json(cfg, os.path.join(out_dir, "config.echo.json"))
-    write_json({"artifact_version": __version__}, os.path.join(out_dir, "version.json"))
+    reporting.write_json(cfg, os.path.join(out_dir, "config.echo.json"))
+    reporting.write_json({"artifact_version": __version__}, os.path.join(out_dir, "version.json"))
 
 
 def _cmd_preset(args):
-    from .config import preset_config
-    from .reporting import write_json
-
     if args.out == "":
         raise ValueError("--out must be a non-empty path")
-    cfg = preset_config(args.name)
     path = args.out or f"{args.name}.config.json"
-    write_json(cfg, path)
-    _say(args, f"wrote {path}")
-    if args.json_out:
-        _emit(args, {"path": path})
-    return 0
+    reporting.write_json(config.preset_config(args.name), path)
+    return 0, {"path": path}, f"wrote {path}"
 
 
 def _cmd_describe_surface(args):
-    from .reporting import frame_table_csv, write_json, write_text
-
     cfg, run = _load(args)
     grid = run.grid
     out = cfg["output_dir"]
-    write_text(frame_table_csv(grid), os.path.join(out, "frames.csv"))
+    reporting.write_text(reporting.frame_table_csv(grid), os.path.join(out, "frames.csv"))
     budget = {
         "kappa_max": grid.budget.kappa_max,
         "eps_max": grid.budget.eps_max,
@@ -174,20 +153,15 @@ def _cmd_describe_surface(args):
         "area": float(grid.area_weight.sum()),
         "nodes": [int(grid.shape[0]), int(grid.shape[1])],
     }
-    write_json(budget, os.path.join(out, "budget.json"))
+    reporting.write_json(budget, os.path.join(out, "budget.json"))
     _echo_config(cfg, out)
-    _say(args, f"wrote frame table and budget to {out}")
-    if args.json_out:
-        _emit(args, budget)
-    return 0
+    return 0, budget, f"wrote frame table and budget to {out}"
 
 
 def _cmd_eval_energy(args):
-    from .reporting import read_field_csv
-
     _check_eps(args)
     cfg, run = _load(args)
-    field = read_field_csv(run.grid, args.field)
+    field = reporting.read_field_csv(run.grid, args.field)
     want = "thin" if args.form == "thin" else "surface"
     if field.layout != want:
         raise ValueError(f"field file {args.field} holds a {field.layout} field; "
@@ -195,34 +169,26 @@ def _cmd_eval_energy(args):
     model = _energy_model(args, run, field.n_s if want == "thin" else None)
     bd = model.breakdown(field.values)[0]
     _echo_config(cfg, cfg["output_dir"])
-    _emit(args, bd.as_dict())
-    return 0
+    return 0, bd.as_dict(), None
 
 
 def _cmd_minimize(args):
-    from . import __version__
-    from .descent import minimize, random_field
-    from .reporting import trace_csv, write_field_csv, write_json, write_text
-
     _check_eps(args)
     cfg, run = _load(args, seed=args.seed)
     model = _energy_model(args, run, run.n_s)
-    init = random_field(run.grid, run.target, model.layout, n_s=run.n_s, seed=run.seed)
-    field, report = minimize(model, run.target, init, run.options)
+    init = descent.random_field(run.grid, run.target, model.layout, n_s=run.n_s, seed=run.seed)
+    field, report = descent.minimize(model, run.target, init, run.options)
 
     out = cfg["output_dir"]
-    write_field_csv(run.grid, field, os.path.join(out, "minimizer.csv"))
-    write_text(trace_csv(report), os.path.join(out, "trace.csv"))
-    summary = dict(report.as_dict(), artifact_version=__version__, form=args.form)
+    reporting.write_field_csv(run.grid, field, os.path.join(out, "minimizer.csv"))
+    reporting.write_text(reporting.trace_csv(report), os.path.join(out, "trace.csv"))
+    payload = dict(report.as_dict(), artifact_version=__version__, form=args.form)
     if args.eps is not None:
-        summary["eps"] = args.eps
-    write_json(summary, os.path.join(out, "minimize.json"))
+        payload["eps"] = args.eps
+    reporting.write_json(payload, os.path.join(out, "minimize.json"))
     _echo_config(cfg, out)
-    _say(args, f"energy {report.energy.total:.9g} after {report.iterations} iterations "
-               f"({report.termination}); artifacts in {out}")
-    if args.json_out:
-        _emit(args, summary)
-    return 0
+    return 0, payload, (f"energy {report.energy.total:.9g} after {report.iterations} iterations "
+                        f"({report.termination}); artifacts in {out}")
 
 
 def _eps_file_name(eps):
@@ -242,29 +208,14 @@ def _check_eps_file_names(eps_list):
 
 
 def _cmd_sweep(args):
-    from . import __version__
-    from .reporting import (
-        ReportError,
-        sweep_csv,
-        trace_csv,
-        write_field_csv,
-        write_json,
-        write_text,
-    )
-    from .sweep import _map_in_processes, run_sweep
-
     cfg, run = _load(args, seed=args.seed, eps_list=args.eps_list)
     _check_eps_file_names(run.eps_list)
-    report, artifacts = run_sweep(run)
+    report, artifacts = sweep.run_sweep(run)
 
     out = cfg["output_dir"]
-    payload = {
-        "artifact_version": __version__,
-        "config": cfg,
-        "report": report.as_dict(),
-    }
-    write_json(payload, os.path.join(out, "report.json"))
-    write_text(sweep_csv(report), os.path.join(out, "sweep.csv"))
+    payload = {"artifact_version": __version__, "config": cfg, "report": report.as_dict()}
+    reporting.write_json(payload, os.path.join(out, "report.json"))
+    reporting.write_text(reporting.sweep_csv(report), os.path.join(out, "sweep.csv"))
 
     # a write error is returned, not raised: a share that raises has the other
     # writers killed mid-file, and the first error in item order does not depend
@@ -272,9 +223,9 @@ def _cmd_sweep(args):
     def write_minimizer(item):
         name, field, trace = item
         try:
-            write_field_csv(run.grid, field, os.path.join(out, "fields", name))
-            write_text(trace_csv(trace), os.path.join(out, "traces", name))
-        except ReportError as exc:
+            reporting.write_field_csv(run.grid, field, os.path.join(out, "fields", name))
+            reporting.write_text(reporting.trace_csv(trace), os.path.join(out, "traces", name))
+        except reporting.ReportError as exc:
             return exc
         return None
 
@@ -282,57 +233,41 @@ def _cmd_sweep(args):
     minimizers += [(_eps_file_name(eps), field, artifacts["eps_traces"][eps])
                    for eps, field in artifacts["eps_fields"].items()]
     # forked writers read the artifacts copy-on-write: nothing is pickled on the way in
-    errors = [exc for exc in _map_in_processes(write_minimizer, minimizers) if exc is not None]
-    if errors:
-        raise errors[0]
+    for exc in sweep._map_in_processes(write_minimizer, minimizers):
+        if exc is not None:
+            raise exc
     _echo_config(cfg, out)
 
     flags = report.flags
-    _say(args, f"sweep {'PASS' if flags['pass'] else 'FAIL'}; artifacts in {out}")
-    if not args.quiet and not args.json_out:
-        for entry in report.entries:
-            status = "failed" if entry.failed else f"gap={entry.gap:.6g}"
-            print(f"  eps={entry.eps:g}: {status}")
-        for key, value in sorted(flags.items()):
-            print(f"  {key}: {value}")
-    if args.json_out:
-        _emit(args, payload)
-    return 0 if flags["all_eps_succeeded"] else 2
+    lines = [f"sweep {'PASS' if flags['pass'] else 'FAIL'}; artifacts in {out}"]
+    lines += [f"  eps={entry.eps:g}: " + ("failed" if entry.failed else f"gap={entry.gap:.6g}")
+              for entry in report.entries]
+    lines += [f"  {key}: {value}" for key, value in sorted(flags.items())]
+    return (0 if flags["all_eps_succeeded"] else 2), payload, "\n".join(lines)
 
 
 def _cmd_check_identities(args):
-    from .reporting import write_json
-    from .sweep import check_vanishing_identity, identity_is_predicted_vanishing
-
     cfg, run = _load(args)
     run.tensor.values_on(run.grid)  # the identity does not use it, but its field is checked as in sweep
-    residual, scale = check_vanishing_identity(run.grid, run.target, run.pert,
-                                               samples=args.samples, seed=run.seed)
-    predicted = identity_is_predicted_vanishing(run.pert, run.target)
+    residual, scale = sweep.check_vanishing_identity(run.grid, run.target, run.pert,
+                                                     samples=args.samples, seed=run.seed)
+    predicted = sweep.identity_is_predicted_vanishing(run.pert, run.target)
     roundoff = 1e-14 * max(scale, 1e-300)  # either way, a residual at roundoff level vanishes
     ok = residual <= roundoff if predicted else residual > roundoff
-    payload = {
-        "max_residual": residual,
-        "scale": scale,
-        "vanishing_predicted": predicted,
-        "ok": bool(ok),
-    }
-    write_json(payload, os.path.join(cfg["output_dir"], "identities.json"))
+    payload = {"max_residual": residual, "scale": scale, "vanishing_predicted": predicted,
+               "ok": bool(ok)}
+    reporting.write_json(payload, os.path.join(cfg["output_dir"], "identities.json"))
     _echo_config(cfg, cfg["output_dir"])
-    _emit(args, payload)
-    return 0 if ok else 2
+    return (0 if ok else 2), payload, None
 
 
 def _cmd_crosscheck_planar(args):
-    from .surfaces import SurfaceSpec, build_surface
-    from .sweep import planar_interfacial_crosscheck
-
-    grid = build_surface(SurfaceSpec("flat_patch", args.resolution, args.resolution))
-    worst = planar_interfacial_crosscheck(grid, kappa=args.kappa, fields=args.fields,
-                                          seed=args.seed)
+    grid = surfaces.build_surface(surfaces.SurfaceSpec("flat_patch", args.resolution,
+                                                       args.resolution))
+    worst = sweep.planar_interfacial_crosscheck(grid, kappa=args.kappa, fields=args.fields,
+                                                seed=args.seed)
     ok = worst <= 1e-10  # a NaN discrepancy fails
-    _emit(args, {"max_relative_discrepancy": worst, "ok": ok})
-    return 0 if ok else 2
+    return (0 if ok else 2), {"max_relative_discrepancy": worst, "ok": ok}, None
 
 
 _COMMANDS = {
@@ -348,12 +283,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .descent import NumericalFailure
-    from .targets import TargetError
-
     try:
-        return _COMMANDS[args.command](args)
-    except (NumericalFailure, TargetError) as exc:
+        code, payload, summary = _COMMANDS[args.command](args)
+        if summary is None or args.json_out:
+            print(reporting.dumps_canonical(payload))
+        elif not args.quiet:
+            print(summary)
+        return code
+    except (descent.NumericalFailure, targets.TargetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -56,8 +56,10 @@ def _kind(cls, *names):
 
 _GRID = ("n_u", "n_v")
 _SCALAR_FIELD_PARAMS = ("saturation", "field")  # parameters that hold a scalar-field section
-_SCALAR_FIELD_KINDS = {
-    kind: _kind(ScalarSurfaceField, "c0", "c", "c1") for kind in ("constant", "affine", "banded")
+_SCALAR_FIELD_KINDS = {  # each kind takes only the parameters it reads
+    "constant": _kind(ScalarSurfaceField, "c0"),
+    "affine": _kind(ScalarSurfaceField, "c0", "c"),
+    "banded": _kind(ScalarSurfaceField, "c0", "c1"),
 }
 # Per section, each kind's class, parameters and their defaults.
 _KINDS = {
@@ -223,8 +225,8 @@ def read_config(path: str) -> dict:
 
 def _arguments(section: dict) -> dict:
     """Keyword arguments of a resolved section, with its scalar fields built."""
-    return {k: ScalarSurfaceField(**dict(v, c=tuple(v["c"]))) if k in _SCALAR_FIELD_PARAMS else v
-            for k, v in section.items()}
+    return {k: ScalarSurfaceField(**{p: tuple(x) if p == "c" else x for p, x in v.items()})
+            if k in _SCALAR_FIELD_PARAMS else v for k, v in section.items()}
 
 
 def _construct(section: str, resolved: dict):

@@ -112,31 +112,19 @@ def read_field_csv(grid, path: str) -> DirectorField:
         raise EnergyError(
             f"field file {path} has {rows.shape[1]} columns, its header names {len(header)}"
         )
-    n_u, n_v = grid.shape
-    if header == ["u", "v", "ux", "uy", "uz"]:
-        if rows.shape != (n_u * n_v, 5):
-            raise EnergyError(
-                f"field file has {rows.shape[0]} rows, grid expects {n_u * n_v}"
-            )
-        coords_u = rows[:, 0].reshape(n_u, n_v)
-        coords_v = rows[:, 1].reshape(n_u, n_v)
-        if (np.max(np.abs(coords_u - grid.u[:, None])) > 1e-9
-                or np.max(np.abs(coords_v - grid.v[None, :])) > 1e-9):
-            raise EnergyError("field file coordinates do not match the configured grid")
-        return DirectorField(rows[:, 2:].reshape(n_u, n_v, 3))
-    if header == ["u", "v", "s", "ux", "uy", "uz"]:
-        total = rows.shape[0]
-        if total % (n_u * n_v) != 0:
-            raise EnergyError("thin field file rows do not tile the configured grid")
-        n_s = total // (n_u * n_v)
-        s_ref, _, _ = s_quadrature(n_s)
-        coords = rows[:, :3].reshape(n_u, n_v, n_s, 3)
-        if (np.max(np.abs(coords[..., 0] - grid.u[:, None, None])) > 1e-9
-                or np.max(np.abs(coords[..., 1] - grid.v[None, :, None])) > 1e-9
-                or np.max(np.abs(coords[..., 2] - s_ref[None, None, :])) > 1e-9):
-            raise EnergyError("thin field file coordinates do not match the configured grid")
-        return DirectorField(rows[:, 3:].reshape(n_u, n_v, n_s, 3))
-    raise EnergyError(f"unrecognized field header {header}")
+    thin = header == ["u", "v", "s", "ux", "uy", "uz"]
+    if not thin and header != ["u", "v", "ux", "uy", "uz"]:
+        raise EnergyError(f"unrecognized field header {header}")
+    nodes = grid.shape[0] * grid.shape[1]
+    n_s = rows.shape[0] // nodes if thin else 1
+    if n_s == 0 or rows.shape[0] != nodes * n_s:
+        raise EnergyError(f"field file {path} has {rows.shape[0]} rows, the grid expects "
+                          + (f"a multiple of {nodes}" if thin else f"{nodes}"))
+    axes = [grid.u, grid.v, s_quadrature(n_s)[0]] if thin else [grid.u, grid.v]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    if np.max(np.abs(rows[:, :len(axes)] - coords)) > 1e-9:
+        raise EnergyError(f"field file {path} coordinates do not match the configured grid")
+    return DirectorField(rows[:, len(axes):].reshape(*(len(a) for a in axes), 3))
 
 
 def frame_table_csv(grid) -> str:

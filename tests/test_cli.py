@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from chiralfilm import __version__
 from chiralfilm import sweep as sweep_module
-from chiralfilm.cli import _build_parser, main
+from chiralfilm.cli import _COMMANDS, _build_parser, main
 from chiralfilm.config import (
     ConfigError,
     build_objects,
@@ -217,6 +217,41 @@ def test_field_csv_matches_the_row_by_row_reference(tmp_path, values):
     write_field_csv(FLAT_4X5, field, str(path))
     assert path.read_bytes() == field_csv_by_rows(FLAT_4X5, field).encode()
     assert read_field_csv(FLAT_4X5, str(path)).values.tobytes() == values.tobytes()
+
+
+def _shift(column):
+    """An edit that moves one row's coordinate in `column` off the grid."""
+    def edit(header, cells):
+        cells[7][column] = repr(float(cells[7][column]) + 1e-6)
+        return header, cells
+    return edit
+
+
+FIELD_FILE_REJECTIONS = {
+    "a-missing-row": (lambda header, cells: (header, cells[:-1]), "rows, the grid expects"),
+    "one-row": (lambda header, cells: (header, cells[:1]), "rows, the grid expects"),
+    "u-off-the-grid": (_shift(0), "coordinates do not match the configured grid"),
+    "v-off-the-grid": (_shift(1), "coordinates do not match the configured grid"),
+    "s-off-the-grid": (_shift(2), "coordinates do not match the configured grid"),
+    "unknown-header": (lambda header, cells: ("x,y" + header[3:], cells),
+                       "unrecognized field header"),
+}
+
+
+@pytest.mark.parametrize("layout, case", [
+    (layout, case) for layout in ("surface", "thin") for case in FIELD_FILE_REJECTIONS
+    if layout == "thin" or case != "s-off-the-grid"  # a surface field has no s column
+])
+def test_field_csv_rejects_a_file_that_does_not_fit_the_grid(tmp_path, layout, case):
+    edit, message = FIELD_FILE_REJECTIONS[case]
+    shape = FLAT_4X5.shape + ((4, 3) if layout == "thin" else (3,))
+    path = tmp_path / "field.csv"
+    write_field_csv(FLAT_4X5, DirectorField(np.ones(shape)), str(path))
+    header, *rows = path.read_text().splitlines()
+    header, cells = edit(header, [row.split(",") for row in rows])
+    path.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+    with pytest.raises(EnergyError, match=re.escape(message)):
+        read_field_csv(FLAT_4X5, str(path))
 
 
 def test_field_csv_rejects_a_field_of_another_grid(tmp_path):
@@ -603,6 +638,87 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert exc.value.code == 0, argv
     capsys.readouterr()
+
+
+SMALL = dict(TINY, surface={**TINY["surface"], "n_u": 10, "n_v": 10},
+             minimizer={"max_iterations": 20, "grad_tol": 1e-6})
+MODES = {"default": [], "quiet": ["--quiet"], "json": ["--json"], "quiet-json": ["--quiet", "--json"]}
+
+
+def _stdout_case(command, tmp_path):
+    """The command line of `command` on a 10x10 config, and a function that
+    returns its (summary, JSON) stdout from the files the run wrote; summary is
+    None for a command that always prints JSON, JSON is None where only its
+    form is known."""
+    out = tmp_path / "out"
+    path = write_tiny_config(tmp_path, out, SMALL)
+    configured = ["--config", path]
+    if command == "preset":
+        target = str(tmp_path / "bulk.json")
+        return ["preset", "bulk", "--out", target], lambda: (
+            f"wrote {target}\n", dumps_canonical({"path": target}) + "\n")
+    if command == "describe-surface":
+        return ["describe-surface", *configured], lambda: (
+            f"wrote frame table and budget to {out}\n", (out / "budget.json").read_text())
+    if command == "eval-energy":
+        run = build_objects(resolve_config(read_config(path)))
+        field = random_field(run.grid, run.target, "surface", seed=5)
+        field_path = tmp_path / "field.csv"
+        write_field_csv(run.grid, field, str(field_path))
+        energy = LimitEnergy(run.grid, run.target, run.pert).breakdown(field.values)[0]
+        return ["eval-energy", *configured, "--form", "limit", "--field", str(field_path)], \
+            lambda: (None, dumps_canonical(energy.as_dict()) + "\n")
+    if command == "minimize":
+        def expected():
+            got = json.loads((out / "minimize.json").read_text())
+            return (f"energy {got['energy']['total']:.9g} after {got['iterations']} iterations "
+                    f"({got['termination']}); artifacts in {out}\n",
+                    (out / "minimize.json").read_text())
+        return ["minimize", *configured], expected
+    if command == "sweep":
+        def expected():
+            report = json.loads((out / "report.json").read_text())["report"]
+            lines = [f"sweep {'PASS' if report['flags']['pass'] else 'FAIL'}; artifacts in {out}"]
+            lines += [f"  eps={e['eps']:g}: " + ("failed" if e["failed"] else f"gap={e['gap']:.6g}")
+                      for e in report["per_eps"]]
+            lines += [f"  {key}: {value}" for key, value in sorted(report["flags"].items())]
+            return "\n".join(lines) + "\n", (out / "report.json").read_text()
+        return ["sweep", *configured], expected
+    if command == "check-identities":
+        return ["check-identities", *configured], lambda: (
+            None, (out / "identities.json").read_text())
+    return ["crosscheck-planar", "--resolution", "8", "--fields", "2"], lambda: (None, None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_stdout_is_the_summary_or_the_json_payload(tmp_path, capsys, command, mode):
+    # --json, or a command without a summary, prints the canonical JSON payload;
+    # otherwise the summary is printed unless --quiet is given
+    argv, expected = _stdout_case(command, tmp_path)
+    assert main(argv + MODES[mode]) == 0
+    out = capsys.readouterr().out
+    summary, payload = expected()
+    if summary is None or "--json" in MODES[mode]:
+        assert dumps_canonical(json.loads(out)) + "\n" == out
+        assert payload is None or out == payload
+    else:
+        assert out == ("" if mode == "quiet" else summary)
+
+
+def test_a_numerical_failure_exits_2_with_nothing_on_stdout(tmp_path, capsys):
+    # a node at the target's center has no projection
+    path = write_tiny_config(tmp_path, tmp_path / "out", SMALL)
+    run = build_objects(resolve_config(read_config(path)))
+    values = random_field(run.grid, run.target, "surface", seed=5).values
+    values[3, 4] = 0.0
+    field_path = tmp_path / "field.csv"
+    write_field_csv(run.grid, DirectorField(values), str(field_path))
+    assert main(["eval-energy", "--config", path, "--form", "limit",
+                 "--field", str(field_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: point too close to the center" in captured.err
 
 
 def test_output_flags_belong_to_the_subcommand(tmp_path, capsys):

@@ -34,8 +34,10 @@ def section(kind, required, optional):
     return st.fixed_dictionaries({"kind": st.just(kind), **required}, optional=optional)
 
 
-scalar_field = st.one_of(*(section(kind, {}, {"c0": number, "c": vector, "c1": number})
-                           for kind in ("constant", "affine", "banded")))
+# Each scalar-field kind's own parameters; a parameter of another kind is rejected.
+SCALAR_FIELDS = {"constant": {"c0": number}, "affine": {"c0": number, "c": vector},
+                 "banded": {"c0": number, "c1": number}}
+scalar_field = st.one_of(*(section(kind, {}, params) for kind, params in SCALAR_FIELDS.items()))
 grid = {"n_u": st.integers(4, 256), "n_v": st.integers(4, 256)}
 
 # Every kind of every section: (required, optional) parameter strategies.
@@ -150,6 +152,24 @@ def test_resolved_defaults_are_copies():
     assert again["tensor"]["field"]["c"] == [0.0, 0.0, 0.0]
     assert again["perturbation"]["saturation"]["c"] == [0.0, 0.0, 0.0]
     assert again["sweep"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
+
+
+FOREIGN_SCALAR_PARAMETERS = [(kind, key) for kind, params in SCALAR_FIELDS.items()
+                             for key in ("c0", "c", "c1") if key not in params]
+
+
+@pytest.mark.parametrize("kind, key", FOREIGN_SCALAR_PARAMETERS)
+@pytest.mark.parametrize("place", ["perturbation/saturation", "tensor/field"])
+def test_a_scalar_field_rejects_the_parameters_of_other_kinds(kind, key, place):
+    # the field reads only its own kind's parameters, so another kind's would be ignored
+    section, name = place.split("/")
+    raw = {"surface": {"kind": "sphere", "n_u": 8, "n_v": 8}, "target": {"kind": "sphere"},
+           "perturbation": {"kind": "temperature", "saturation": {"kind": "constant"},
+                            "coupling": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+    raw.setdefault(section, {"kind": "scalar_field"})[name] = {"kind": kind}
+    assert set(resolve_config(raw)[section][name]) == {"kind", *SCALAR_FIELDS[kind]}
+    raw[section][name][key] = [5.0, 0.0, 0.0] if key == "c" else 3.0
+    assert_invalid_at(raw, f"{place}/{key}")
 
 
 def _config_names():
