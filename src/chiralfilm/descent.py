@@ -14,7 +14,9 @@ two-loop recursion runs as a scalar recurrence around four matrix-vector
 products over the stacked pairs (vector-free L-BFGS: Chen, Wang, Zhou & Ma,
 "Large-scale L-BFGS using MapReduce", NeurIPS 2014).  When the two-loop
 direction is not a descent direction, the memory is cleared and the step
-follows -gamma P^-1 g.
+follows -gamma P^-1 g.  The scaling gamma = s.y / y.P^-1 y of each new pair
+takes the form y.P^-1 y from the forward half of the solve's transform, so an
+iteration runs one full solve, two when it falls back.
 
 The first trial step is 1, capped so that no node moves farther than
 MAX_NODE_STEP, and refined by Armijo backtracking, so the stored energy trace
@@ -102,8 +104,9 @@ class H1Preconditioner:
     s-mode m the pencil (K_a + tau_m W_a, M_a), tau_m = SIGMA + mu_m / eps^2,
     has M_a-orthonormal eigenvectors V_m and eigenvalues nu_{m,i}.  Then
     P^-1 = (z x V_m x q_b) diag(1 / (c (nu_{m,i} + lam_k))) (z x V_m x q_b)^T,
-    so a solve is matrix products and one division, periodic axes included.
-    Storage is O(n_s n_a^2 + n_b^2 + n_s n_a n_b).
+    so a solve is matrix products and one division, periodic axes included,
+    and the form r . P^-1 r = sum inv (Q^T r)^2, Q = z x V_m x q_b, needs
+    only the forward transform Q^T r.  Storage is O(n_s n_a^2 + n_b^2 + n_s n_a n_b).
     """
 
     def __init__(self, grid, eps=None, n_s=None):
@@ -135,21 +138,36 @@ class H1Preconditioner:
         # the solve's two work arrays, (modes, 3, n_a, n_b) each
         self.work = np.empty((2, len(tau), 3, len(w), len(lam_b)))
 
+    def _forward(self, x):
+        """Q^T x, in the first work array, shaped (modes, 3, n_a, n_b), for a
+        field x with the varying axis a moved first."""
+        n_ab = x.shape[0] * x.shape[1]
+        y, t = self.work
+        # the s-map and its transpose also move the nodes between the last and
+        # the first axes: (n_a n_b, [n_s] 3) <-> (modes, 3, n_a, n_b)
+        np.matmul(self.s_map.T, x.reshape(n_ab, -1).T, out=y.reshape(-1, n_ab))
+        np.matmul(y, self.q_b, out=t)
+        np.matmul(np.swapaxes(self.v, -1, -2), t, out=y)
+        return y
+
     def solve(self, r):
         """P^-1 r for a field r of the preconditioner's layout."""
         x = np.moveaxis(r, self.axis, 0)
         n_a, n_b = x.shape[:2]
-        y, t = self.work
-        # the s-map and its transpose also move the nodes between the last and
-        # the first axes: (n_a n_b, [n_s] 3) <-> (modes, 3, n_a, n_b)
-        np.matmul(self.s_map.T, x.reshape(n_a * n_b, -1).T, out=y.reshape(-1, n_a * n_b))
-        np.matmul(y, self.q_b, out=t)
-        np.matmul(np.swapaxes(self.v, -1, -2), t, out=y)
+        y = self._forward(x)
+        t = self.work[1]
         y *= self.inv
         np.matmul(self.v, y, out=t)
         np.matmul(t, self.q_b.T, out=y)
         x = (y.reshape(-1, n_a * n_b).T @ self.s_map.T).reshape(x.shape)
         return np.moveaxis(x, 0, self.axis)
+
+    def inverse_form(self, r):
+        """r . P^-1 r = sum inv (Q^T r)^2, from the forward half of a solve."""
+        y = self._forward(np.moveaxis(r, self.axis, 0))
+        y *= y
+        y *= self.inv
+        return float(y.sum())
 
 
 def _preconditioner(model):
@@ -300,7 +318,7 @@ def minimize(model, target, initial: DirectorField, opts: MinimizeOptions = Mini
         x, bd = cand, cand_bd
         sy = float(np.vdot(s, y))
         if sy > 0.0:
-            gamma = sy / float(np.vdot(y, solve(y)))
+            gamma = sy / precond.inverse_form(y)
             pairs.append(s, y)
         del s, y
         gnorm = _sup_norm(g)

@@ -170,7 +170,7 @@ class LimitEnergy:
         for m in (0, 1):
             r[m] += self.a * grid.tangential_derivative(values, m)
         n_m = self.target.normal(values)
-        rho = np.sum(r[2] * n_m, axis=-1)
+        rho = np.einsum("uvk,uvk->uv", r[2], n_m)
         w = self.weight
         tangential = (np.einsum("uvk,uvk,uv->", r[0], r[0], w)
                       + np.einsum("uvk,uvk,uv->", r[1], r[1], w))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -103,7 +104,10 @@ def read_field_csv(grid, path: str) -> DirectorField:
     try:
         with open(path) as handle:
             header = handle.readline().strip().split(",")
-            rows = np.loadtxt(handle, delimiter=",", ndmin=2)
+            # a header-only file is left to the row-count rule below
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(handle, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ReportError(f"cannot read {path}: {exc}") from exc
     if not np.all(np.isfinite(rows)):

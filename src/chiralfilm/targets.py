@@ -79,15 +79,15 @@ class SphereTarget(TargetManifold):
     def normal_pullback(self, y, w):
         y = np.asarray(y, dtype=float)
         r = self._safe_norm(y)
-        n = y / r
-        return (w - np.sum(w * n, axis=-1, keepdims=True) * n) / r
+        return tangent_part(y / r, w) / r
 
 
 class EllipsoidTarget(TargetManifold):
     """Axis-aligned ellipsoid sum((x_i/a_i)^2) = 1.
 
     Projection solves the single Lagrange-multiplier equation by Newton's
-    method on a concave form of it, which needs no bracket or fallback.
+    method on a concave form of it, which needs no bracket or fallback; the
+    passes run on every point, with the converged ones frozen by a mask.
     """
 
     tol = 1e-12
@@ -105,55 +105,67 @@ class EllipsoidTarget(TargetManifold):
         self._a2 = axes * axes
         self._shift = self._a2 - np.min(self._a2)
 
-    def _multiplier(self, y):
-        """Root x > 0 of S(x) = sum(a_i^2 y_i^2 / (x + c_i)^2) = 1, c = a^2 - min a^2.
+    def project(self, y):
+        """Nearest points a_i^2 y_i / (x + c_i), x > 0 the root of S(x) =
+        sum(a_i^2 y_i^2 / (x + c_i)^2) = 1, c = a^2 - min a^2.
 
         x = t + min a^2 puts the pole at 0, so x keeps its relative precision
         next to the medial axis.  Newton runs on S^(-1/2) - 1, a weighted power
         mean of the x + c_i, so concave and increasing: a step from either side
         of the root lands left of it, and from there the steps rise to it.  The
         clamp at max_i(a_i |y_i| - c_i), where S >= 1, keeps steps off the pole.
-        Newton starts at t = 0, the root for a point on the surface, and each
-        pass works only on the points whose |S - 1| is still at or above tol.
+        Newton starts at t = 0, the root for a point on the surface.  Each pass
+        evaluates S at every point, in work arrays allocated once with one
+        contiguous row per component; a point whose |S - 1| is below tol is
+        frozen, so its x, and with it its S, stays as it is.
         """
-        c = self._shift
-        flat = y.reshape(-1, 3)
-        # numerator weights a_i^2 y_i^2, one contiguous array per component
-        w = [self._a2[i] * flat[:, i] * flat[:, i] for i in range(3)]
+        y = np.asarray(y, dtype=float)
+        c = self._shift[:, None]
+        comps = np.array(y.reshape(-1, 3).T, order="C")   # a copy: it becomes a work array
+        a2y = self._a2[:, None] * comps
+        w = a2y * comps     # a_i^2 y_i^2
         floor = np.min(self._a2) * 1e-12
-        low = np.maximum(np.max(self.semi_axes * np.abs(flat) - c, axis=1), floor)
+        b = np.abs(comps)
+        b *= self.semi_axes[:, None]
+        b -= c
+        low = np.maximum(np.maximum(b[0], b[1]), np.maximum(b[2], floor))
+        d, q = b, comps     # reused as work arrays: x + c_i and the terms of S and S'
+        s, slope, step = np.empty((3, len(low)))
 
-        def s_and_slope(x, w):
-            d = [x + c[i] for i in range(3)]
-            q = [w[i] / (d[i] * d[i]) for i in range(3)]
-            return q[0] + q[1] + q[2], q[0] / d[0] + q[1] / d[1] + q[2] / d[2]
+        def evaluate_s(x):
+            np.add(x, c, out=d)
+            np.multiply(d, d, out=q)
+            np.divide(w, q, out=q)
+            np.add(np.add(q[0], q[1], out=s), q[2], out=s)
 
-        if np.any(s_and_slope(floor, w)[0] <= 1.0):
+        evaluate_s(floor)
+        if np.any(s <= 1.0):
             raise TargetError(
                 "projection undefined: point too close to the medial axis of the ellipsoid"
             )
-        out = np.empty(len(flat))
-        active = np.arange(len(flat))
-        x = np.full(len(flat), np.min(self._a2))
+        x = np.full(len(low), np.min(self._a2))
         for _ in range(self.max_iter):
-            s, slope = s_and_slope(x, w)
-            done = np.abs(s - 1.0) < self.tol
-            if done.any():
-                out[active[done]] = x[done]
-                keep = ~done
-                active, x, low, s, slope = (v[keep] for v in (active, x, low, s, slope))
-                w = [wi[keep] for wi in w]
-            if not len(active):
+            evaluate_s(x)
+            np.subtract(s, 1.0, out=step)
+            # not `>= tol`: a NaN keeps moving, into the non-convergence error
+            moving = ~(np.abs(step, out=step) < self.tol)
+            if not moving.any():
                 break
-            x = np.maximum(x + s * (np.sqrt(s) - 1.0) / slope, low)
+            # x + s (sqrt(s) - 1) / slope, clamped below
+            np.divide(q, d, out=q)
+            np.add(np.add(q[0], q[1], out=slope), q[2], out=slope)
+            np.sqrt(s, out=step)
+            step -= 1.0
+            step *= s
+            step /= slope
+            step += x
+            np.copyto(x, np.maximum(step, low, out=step), where=moving)
         else:
             raise TargetError("ellipsoid projection did not converge")
-        return out.reshape(y.shape[:-1])
-
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        x = self._multiplier(y)
-        return self._a2 * y / (x[..., None] + self._shift)
+        # d = x + c_i from the last pass; written through the transposed view
+        sigma = np.empty(y.shape)
+        np.divide(a2y, d, out=sigma.reshape(-1, 3).T)
+        return sigma
 
     def normal(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
@@ -167,6 +179,4 @@ class EllipsoidTarget(TargetManifold):
         y = np.asarray(y, dtype=float)
         grad = y / self._a2
         gn = _norm(grad)
-        n = grad / gn
-        wt = w - np.sum(w * n, axis=-1, keepdims=True) * n
-        return (wt / self._a2) / gn
+        return (tangent_part(grad / gn, w) / self._a2) / gn

@@ -5,8 +5,10 @@ analytic chart map instead of the node arrays, a finite-difference Jacobian
 of the offset map instead of the closed-form metric factors, K as each
 kind's explicit 3x3 matrix evaluated at every node's value instead of through
 the closed-form frame basis, and the L-BFGS two-loop recursion pair by pair
-instead of over the stacked pairs, and a field CSV formatted row by row
-instead of one u-row per `%`.
+instead of over the stacked pairs, a field CSV formatted row by row
+instead of one u-row per `%`, and the ellipsoid projection's Newton passes
+run on a shrinking set of the points not yet converged instead of on every
+point with the converged ones frozen.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from chiralfilm.perturbations import (
     surface_scalar_gradient,
 )
 from chiralfilm.surfaces import _CHARTS, apply_difference
+from chiralfilm.targets import TargetError
 
 
 def chart_point(grid, cu, cv):
@@ -224,3 +227,42 @@ def field_csv_by_rows(grid, field) -> str:
         lines += ["%s%s%.17g,%.17g,%.17g\n" % (head, tail, x, y, z)
                   for tail, (x, y, z) in zip(tails, block.reshape(-1, 3).tolist())]
     return "".join(lines)
+
+
+def ellipsoid_projection(target, y):
+    """EllipsoidTarget.project whose Newton passes compact the converged
+    points out of every per-point array, with the same iteration, tolerance
+    and errors."""
+    y = np.asarray(y, dtype=float)
+    a2, c, axes = target._a2, target._shift, target.semi_axes
+    flat = y.reshape(-1, 3)
+    w = [a2[i] * flat[:, i] * flat[:, i] for i in range(3)]
+    floor = np.min(a2) * 1e-12
+    low = np.maximum(np.max(axes * np.abs(flat) - c, axis=1), floor)
+
+    def s_and_slope(x, w):
+        d = [x + c[i] for i in range(3)]
+        q = [w[i] / (d[i] * d[i]) for i in range(3)]
+        return q[0] + q[1] + q[2], q[0] / d[0] + q[1] / d[1] + q[2] / d[2]
+
+    if np.any(s_and_slope(floor, w)[0] <= 1.0):
+        raise TargetError(
+            "projection undefined: point too close to the medial axis of the ellipsoid"
+        )
+    out = np.empty(len(flat))
+    active = np.arange(len(flat))
+    x = np.full(len(flat), np.min(a2))
+    for _ in range(target.max_iter):
+        s, slope = s_and_slope(x, w)
+        done = np.abs(s - 1.0) < target.tol
+        if done.any():
+            out[active[done]] = x[done]
+            keep = ~done
+            active, x, low, s, slope = (v[keep] for v in (active, x, low, s, slope))
+            w = [wi[keep] for wi in w]
+        if not len(active):
+            break
+        x = np.maximum(x + s * (np.sqrt(s) - 1.0) / slope, low)
+    else:
+        raise TargetError("ellipsoid projection did not converge")
+    return a2 * y / (out.reshape(y.shape[:-1])[..., None] + c)

@@ -230,6 +230,7 @@ def _shift(column):
 FIELD_FILE_REJECTIONS = {
     "a-missing-row": (lambda header, cells: (header, cells[:-1]), "rows, the grid expects"),
     "one-row": (lambda header, cells: (header, cells[:1]), "rows, the grid expects"),
+    "header-only": (lambda header, cells: (header, []), "rows, the grid expects"),
     "u-off-the-grid": (_shift(0), "coordinates do not match the configured grid"),
     "v-off-the-grid": (_shift(1), "coordinates do not match the configured grid"),
     "s-off-the-grid": (_shift(2), "coordinates do not match the configured grid"),
@@ -238,6 +239,8 @@ FIELD_FILE_REJECTIONS = {
 }
 
 
+# as errors, so no warning of the reader's reaches stderr ahead of the message
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("layout, case", [
     (layout, case) for layout in ("surface", "thin") for case in FIELD_FILE_REJECTIONS
     if layout == "thin" or case != "s-off-the-grid"  # a surface field has no s column

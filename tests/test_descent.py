@@ -191,9 +191,9 @@ def test_minimize_reports_its_evaluation_counts(small_torus):
     assert report.iterations > 0
     assert report.gradient_evaluations == report.iterations + 1
     assert report.trials >= report.iterations
-    # one solve in the two-loop recursion, one for the scaling of each stored
-    # pair, and one more for each fallback to the preconditioned gradient
-    assert report.iterations <= report.preconditioner_solves <= 3 * report.iterations
+    # one solve in the two-loop recursion, and one more for each fallback to
+    # the preconditioned gradient; the scaling of a stored pair takes no solve
+    assert report.iterations <= report.preconditioner_solves <= 2 * report.iterations
     summary = report.as_dict()
     for key in ("iterations", "termination", "trials", "gradient_evaluations",
                 "preconditioner_solves"):
@@ -272,6 +272,15 @@ def test_preconditioner_is_spd_and_solve_inverts_it(case):
     solved = H1Preconditioner(grid, eps=eps, n_s=n_s).solve(px)
     assert solved.shape == shape
     assert np.linalg.norm(solved - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@given(preconditioner_cases())
+def test_inverse_form_is_the_solve_dotted_with_its_input(case):
+    grid, eps, n_s, seed = case
+    r = np.random.default_rng(seed).standard_normal(grid.shape + ((n_s,) if n_s else ()) + (3,))
+    precond = H1Preconditioner(grid, eps=eps, n_s=n_s)
+    form = precond.inverse_form(r)
+    assert abs(form - np.vdot(r, precond.solve(r))) <= 1e-12 * form
 
 
 @pytest.mark.parametrize("case", ["sphere-limit", "sphere-thin", "torus-thin"])

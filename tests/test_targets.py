@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError
+from chiralfilm.targets import EllipsoidTarget, SphereTarget, TargetError, tangent_part
+from oracles import ellipsoid_projection
 
 
 def ellipsoid_surface_cloud(axes, n_theta=400, n_phi=800):
@@ -334,3 +336,41 @@ def test_ellipsoid_projection_converges_near_the_medial_plane_and_far_out(axes, 
     ell = EllipsoidTarget(axes)
     sigma = ell.project(y)
     assert np.max(np.abs(np.sum((sigma / ell.semi_axes) ** 2, axis=-1) - 1.0)) < ell.tol + 1e-15
+
+
+def _oracle_inputs(rng, axes, shape, kind):
+    """Points of a field shape: on the surface, a small tangent step off it,
+    far out, or inside the ellipsoid within 1e-9 of its medial plane."""
+    v = rng.standard_normal(shape)
+    on = axes * v / np.linalg.norm(v, axis=-1, keepdims=True)
+    if kind == "surface":
+        return on
+    if kind == "tangent-step":
+        step = tangent_part(EllipsoidTarget(axes).normal(on), rng.standard_normal(shape))
+        return on + 10.0 ** rng.uniform(-8.0, -1.0) * step
+    if kind == "far":
+        return 1e3 * v
+    # from 1e-12 a field rarely raises, from 1e-20 it mostly does
+    y = on * rng.uniform(0.0, 1.0, shape[:-1] + (1,))
+    gap = 10.0 ** rng.uniform(rng.choice([-12.0, -20.0]), -9.0, shape[:-1])
+    y[..., np.argmin(axes)] = rng.choice([-1.0, 1.0], shape[:-1]) * gap
+    return y
+
+
+@given(axes=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=3),
+       shape=st.sampled_from(((6, 5, 3), (4, 3, 5, 3))),
+       kind=st.sampled_from(("surface", "tangent-step", "far", "medial")),
+       seed=st.integers(0, 2**32 - 1))
+def test_ellipsoid_projection_matches_the_compacting_oracle(axes, shape, kind, seed):
+    axes = np.array(axes)
+    y = _oracle_inputs(np.random.default_rng(seed), axes, shape, kind)
+    given_y = y.copy()
+    ell = EllipsoidTarget(axes)
+    try:
+        expected = ellipsoid_projection(ell, y)
+    except TargetError as exc:
+        with pytest.raises(TargetError, match=re.escape(str(exc))):
+            ell.project(y)
+    else:
+        assert np.array_equal(ell.project(y), expected)
+    assert np.array_equal(y, given_y)  # the work arrays are the projection's own
